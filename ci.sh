@@ -22,7 +22,7 @@ cargo test -q --features audit --test audit
 echo "==> streaming differential suite at CI depth (PROPTEST_CASES=128)"
 PROPTEST_CASES=128 cargo test -q --test incremental
 
-echo "==> sharding differential suite at CI depth (PROPTEST_CASES=128)"
+echo "==> thread-count differential suite at CI depth (PROPTEST_CASES=128)"
 PROPTEST_CASES=128 cargo test -q --test sharding
 
 echo "==> snapshot round-trip + corruption suite at CI depth (PROPTEST_CASES=128)"
@@ -37,7 +37,8 @@ PROPTEST_CASES=256 cargo test -q -p dogmatix_textsim --test kernel_differential
 echo "==> streaming bench sanity (delta replay must beat full re-detection)"
 cargo bench -q -p dogmatix_bench --bench streaming >/dev/null
 
-echo "==> scaling bench sanity (sharded wall-clock must not exceed unsharded;"
+echo "==> scaling bench sanity (threads=0 must match threads=1 bit for bit and"
+echo "    its wall-clock must not exceed threads=1;"
 echo "    columnar comparison phase must not regress past the recorded baseline)"
 cargo bench -q -p dogmatix_bench --bench scaling >/dev/null
 

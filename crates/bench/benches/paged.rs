@@ -6,7 +6,7 @@
 //! budget, then
 //!
 //! * asserts the budget-constrained [`PagedBackend`] warm start is
-//!   **bit-identical** to the in-memory build (sequential AND sharded),
+//!   **bit-identical** to the in-memory build (at auto AND 2 threads),
 //! * asserts the pool's peak residency never exceeded the budget while
 //!   evictions actually happened (the run provably worked out-of-core),
 //! * times a full point-read sweep over every term (text + postings)
@@ -41,24 +41,21 @@ fn scratch_snapshot(tag: &str) -> PathBuf {
     dir.join(format!("{tag}.dxts2"))
 }
 
-fn detector(fixture: &CdFixture, backend: Option<Arc<PagedBackend>>, shards: usize) -> Dogmatix {
+fn detector(fixture: &CdFixture, backend: Option<Arc<PagedBackend>>, threads: usize) -> Dogmatix {
     let mut b = Dogmatix::builder()
         .mapping(fixture.mapping.clone())
         .heuristic(HeuristicExpr::k_closest_descendants(6))
         .theta_tuple(dogmatix_eval::setup::THETA_TUPLE)
         .theta_cand(dogmatix_eval::setup::THETA_CAND)
-        .threads(0);
+        .threads(threads);
     if let Some(backend) = backend {
         b = b.index_backend(backend);
-    }
-    if shards > 0 {
-        b = b.sharded(shards);
     }
     b.build()
 }
 
-fn run(fixture: &CdFixture, backend: Option<Arc<PagedBackend>>, shards: usize) -> DetectionResult {
-    detector(fixture, backend, shards)
+fn run(fixture: &CdFixture, backend: Option<Arc<PagedBackend>>, threads: usize) -> DetectionResult {
+    detector(fixture, backend, threads)
         .run(&fixture.doc, &fixture.schema, dogmatix_eval::setup::CD_TYPE)
         .expect("detection runs")
 }
@@ -95,19 +92,19 @@ fn scaling_sanity() {
          vs {BUDGET} B — grow CORPUS_N"
     );
 
-    // Budget-constrained warm starts, sequential and sharded, must be
+    // Budget-constrained warm starts, at auto and at 2 threads, must be
     // bit-identical to the in-memory build with the pool under budget.
     let mut load_millis = 0.0;
-    for shards in [0usize, 2] {
+    for threads in [0usize, 2] {
         let backend = Arc::new(PagedBackend::open(&path, BUDGET));
         let started = Instant::now();
-        let warm = run(&fixture, Some(backend.clone()), shards);
-        if shards == 0 {
+        let warm = run(&fixture, Some(backend.clone()), threads);
+        if threads == 0 {
             load_millis = started.elapsed().as_secs_f64() * 1e3;
         }
         assert_eq!(
             reference, warm,
-            "paged warm start (shards {shards}) diverged"
+            "paged warm start (threads {threads}) diverged"
         );
         let stats = backend.last_stats().expect("load records pool stats");
         assert!(

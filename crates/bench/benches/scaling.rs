@@ -7,12 +7,12 @@
 //! [`dogmatix_core::pipeline::DetectionSession`]), so the session cache's
 //! payoff is itself tracked.
 //!
-//! Before the criterion groups run, a **sharding sanity pass** executes
-//! on the movie corpus at `threads = 0`: the sharded driver (auto shard
-//! count) must produce a bit-identical result to the unsharded pipeline
-//! and must not be slower beyond scheduler noise — sharding partitions
-//! the same work, so wall-clock parity is the expectation and a real
-//! slowdown is a regression. Best-of-N timings absorb jitter.
+//! Before the criterion groups run, a **threads sanity pass** executes
+//! on the movie corpus: `threads = 0` (one comparison worker per core)
+//! must produce a bit-identical result to `threads = 1` and must not be
+//! slower beyond scheduler noise — the workers split the same pairs, so
+//! a slowdown on any machine is a regression. Best-of-N timings absorb
+//! jitter.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dogmatix_bench::{CdFixture, MovieFixture};
@@ -40,28 +40,24 @@ fn best_of_interleaved(
     best
 }
 
-/// The sharding sanity pass the CI gate relies on: on the movie corpus
-/// at `threads = 0`, auto-sharded execution is bit-identical to the
-/// unsharded pipeline and its wall-clock does not exceed the unsharded
-/// time beyond a 10% scheduler-noise allowance (the two execute the
-/// same comparison plan).
-fn sharding_sanity() {
+/// The threads sanity pass the CI gate relies on: on the movie corpus,
+/// `threads = 0` is bit-identical to `threads = 1` and its wall-clock
+/// does not exceed the single-thread time beyond a 10% scheduler-noise
+/// allowance (both score the same comparison plan).
+fn threads_sanity() {
     let fixture = MovieFixture::dataset2(80);
     let heuristic = table4_heuristic(HeuristicExpr::r_distant_descendants(2), 1);
-    let build = |sharded: bool| -> Dogmatix {
-        let mut b = dogmatix_core::pipeline::Dogmatix::builder()
+    let build = |threads: usize| -> Dogmatix {
+        Dogmatix::builder()
             .mapping(fixture.mapping.clone())
             .heuristic(heuristic.clone())
             .theta_tuple(dogmatix_eval::setup::THETA_TUPLE)
             .theta_cand(dogmatix_eval::setup::THETA_CAND)
-            .threads(0);
-        if sharded {
-            b = b.sharded(0);
-        }
-        b.build()
+            .threads(threads)
+            .build()
     };
-    let unsharded = build(false);
-    let sharded = build(true);
+    let single = build(1);
+    let auto = build(0);
     let rw = dogmatix_eval::setup::MOVIE_TYPE;
     let session = dogmatix_core::pipeline::DetectionSession::new(
         &fixture.doc,
@@ -72,37 +68,37 @@ fn sharding_sanity() {
     .expect("the movie fixture wiring is valid");
 
     // Correctness first: identical results (scores included).
-    let base = unsharded.detect(&session).expect("unsharded runs");
-    let shard = sharded.detect(&session).expect("sharded runs");
-    assert_eq!(shard, base, "sharded result diverged from unsharded");
+    let base = single.detect(&session).expect("threads=1 runs");
+    let parallel = auto.detect(&session).expect("threads=0 runs");
+    assert_eq!(parallel, base, "threads=0 result diverged from threads=1");
     assert!(!base.duplicate_pairs.is_empty(), "corpus has duplicates");
 
     // Warm both paths (the correctness check above), then best-of-9
     // interleaved rounds: the minimum strips scheduler noise, the
     // interleaving strips load drift.
-    let (unsharded_best, sharded_best) = best_of_interleaved(
+    let (single_best, auto_best) = best_of_interleaved(
         9,
         || {
-            let _ = unsharded.detect(&session).expect("unsharded runs");
+            let _ = single.detect(&session).expect("threads=1 runs");
         },
         || {
-            let _ = sharded.detect(&session).expect("sharded runs");
+            let _ = auto.detect(&session).expect("threads=0 runs");
         },
     );
     assert!(
-        sharded_best.as_secs_f64() <= unsharded_best.as_secs_f64() * 1.10,
-        "sharded execution must not be slower than unsharded \
-         (sharded {sharded_best:?} vs unsharded {unsharded_best:?})"
+        auto_best.as_secs_f64() <= single_best.as_secs_f64() * 1.10,
+        "threads=0 must not be slower than threads=1 \
+         (threads=0 {auto_best:?} vs threads=1 {single_best:?})"
     );
     println!(
-        "sharding sanity (movie, threads=0): sharded {sharded_best:?} \
-         vs unsharded {unsharded_best:?} over {} pairs",
+        "threads sanity (movie): threads=0 {auto_best:?} vs threads=1 \
+         {single_best:?} over {} pairs",
         base.stats.pairs_compared
     );
 }
 
-fn bench_sharding(c: &mut Criterion) {
-    sharding_sanity();
+fn bench_threads(c: &mut Criterion) {
+    threads_sanity();
 
     let fixture = MovieFixture::dataset2(60);
     let heuristic = table4_heuristic(HeuristicExpr::r_distant_descendants(2), 1);
@@ -113,17 +109,17 @@ fn bench_sharding(c: &mut Criterion) {
         dogmatix_eval::setup::MOVIE_TYPE,
     )
     .expect("fixture wiring is valid");
-    let mut group = c.benchmark_group("sharded_movie");
+    let mut group = c.benchmark_group("threads_movie");
     group.sample_size(10);
-    for shards in [1usize, 2, 8, 0] {
+    for threads in [1usize, 2, 0] {
         let dx = Dogmatix::builder()
             .mapping(fixture.mapping.clone())
             .heuristic(heuristic.clone())
             .theta_tuple(dogmatix_eval::setup::THETA_TUPLE)
             .theta_cand(dogmatix_eval::setup::THETA_CAND)
-            .sharded(shards)
+            .threads(threads)
             .build();
-        group.bench_with_input(BenchmarkId::new("shards", shards), &shards, |b, _| {
+        group.bench_with_input(BenchmarkId::new("threads", threads), &threads, |b, _| {
             b.iter(|| dx.detect(&session).unwrap())
         });
     }
@@ -232,5 +228,5 @@ fn bench_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_sharding, bench_scaling);
+criterion_group!(benches, bench_threads, bench_scaling);
 criterion_main!(benches);

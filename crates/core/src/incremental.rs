@@ -80,12 +80,11 @@
 use crate::candidate::{select_candidates, CandidateSet};
 use crate::classify::Class;
 use crate::error::DogmatixError;
+use crate::exec::{execute, unpruned, Pairs};
 use crate::mapping::Mapping;
 use crate::od::{extract_raw_tuples, OdSet, RawTuple};
-use crate::pipeline::{compare_sharded, selections_for_paths, DetectionResult, Dogmatix, RunStats};
-use crate::stage::{
-    FilterDecision, PairClassifier, PreparedMeasure, SimContext, SimilarityMeasure,
-};
+use crate::pipeline::{selections_for_paths, DetectionResult, Dogmatix, RunStats};
+use crate::stage::{FilterDecision, PairClassifier, SimContext, SimilarityMeasure};
 use dogmatix_xml::{Document, NodeId, Schema};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
@@ -866,23 +865,8 @@ pub(crate) fn detect_incremental(
         pairs,
     } = dx.filter_stage().reduce(&ods);
     let pruned_by_filter = pruned.iter().filter(|p| **p).count();
-    let active: Vec<usize> = (0..n).filter(|i| !pruned[*i]).collect();
-
-    let effective: Vec<(usize, usize)> = match pairs {
-        Some(plan) => plan
-            .into_iter()
-            .filter(|(i, j)| !pruned[*i] && !pruned[*j])
-            .collect(),
-        None => {
-            let mut all = Vec::with_capacity(active.len() * active.len().saturating_sub(1) / 2);
-            for (a, &i) in active.iter().enumerate() {
-                for &j in &active[a + 1..] {
-                    all.push((i, j));
-                }
-            }
-            all
-        }
-    };
+    let (active, plan) = unpruned(&pruned, pairs);
+    let effective = plan.as_deref().map_or(Pairs::All(&active), Pairs::Plan);
 
     // Step 5: replay verdicts for pairs that provably cannot have
     // changed, score the rest.
@@ -892,7 +876,7 @@ pub(crate) fn detect_incremental(
     };
     let mut reused: Vec<(usize, usize, f64, Class)> = Vec::new();
     let mut to_score: Vec<(usize, usize)> = Vec::new();
-    for &(i, j) in &effective {
+    effective.for_each(|i, j| {
         let cached = (!affected[i] && !affected[j])
             .then_some(s.prev.as_ref())
             .flatten()
@@ -901,20 +885,27 @@ pub(crate) fn detect_incremental(
             Some(&(sim, class)) => reused.push((i, j, sim, class)),
             None => to_score.push((i, j)),
         }
-    }
+    });
 
     let prepared = dx.measure_stage().prepare(SimContext {
         doc: &s.doc,
         candidates: &s.candidates.nodes,
         ods: &ods,
     });
-    let scored = score_pairs(
-        prepared.as_ref(),
-        &to_score,
-        dx.classifier_stage().as_ref(),
+    // Every verdict is kept, non-duplicates included, so it can be
+    // replayed after the next delta.
+    let mut scored = Vec::with_capacity(to_score.len());
+    execute(
+        &ods,
+        Pairs::Plan(&to_score),
         dx.threads(),
+        prepared.as_ref(),
+        dx.classifier_stage().as_ref(),
+        &mut scored,
+        |i, j, sim, class| Some((i, j, sim, class)),
     );
     drop(prepared);
+    scored.sort_by_key(|&(i, j, _, _)| (i, j));
     s.counters.pairs_scored += scored.len();
     s.counters.pairs_reused += reused.len();
 
@@ -1011,36 +1002,6 @@ fn affected_candidates(n: usize, s: &IncrementalSession, prev: &PrevRun, ods: &O
         }
     }
     affected
-}
-
-/// Scores a pair list, returning every pair with its similarity and
-/// class — unlike the batch comparison loop, non-duplicates are kept so
-/// their verdicts can be replayed after the next delta. Deterministic
-/// regardless of `threads`.
-fn score_pairs(
-    measure: &dyn PreparedMeasure,
-    plan: &[(usize, usize)],
-    classifier: &dyn PairClassifier,
-    threads: usize,
-) -> Vec<(usize, usize, f64, Class)> {
-    let sequential = threads <= 1 || plan.len() < 2048;
-    let mut scored: Vec<(usize, usize, f64, Class)> = compare_sharded(
-        threads,
-        sequential,
-        plan.len(),
-        |start, stride, cache, out: &mut Vec<_>| {
-            let mut p = start;
-            while p < plan.len() {
-                let (i, j) = plan[p];
-                let sim = measure.sim(i, j, cache);
-                out.push((i, j, sim, classifier.classify(sim)));
-                p += stride;
-            }
-        },
-        |out, local| out.extend(local),
-    );
-    scored.sort_by_key(|&(i, j, _, _)| (i, j));
-    scored
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 //! |---|---|
 //! | §2 framework: candidate definition | [`candidate`], [`mapping`] |
 //! | §2 framework: duplicate definition | [`od`] (descriptions), [`classify`] |
-//! | §2 framework: duplicate detection (6 steps) | [`pipeline`] |
+//! | §2 framework: duplicate detection (6 steps) | [`pipeline`] (step 5's comparison loop: the crate-private `exec`) |
 //! | §4 description-selection heuristics + conditions | [`heuristics`] |
 //! | §5 similarity measure (`odtDist`, `softIDF`, `sim`) | [`sim`] |
 //! | §5.2 object filter `f` | [`filter`] |
@@ -22,7 +22,6 @@
 //! | beyond the paper: streaming ingest | [`incremental`] |
 //! | beyond the paper: write-ahead delta log + crash recovery | [`wal`] |
 //! | beyond the paper: q-gram / MinHash-LSH blocking | [`filter`], [`neighborhood`] |
-//! | beyond the paper: sharded pair-plan execution | [`shard`] |
 //! | beyond the paper: columnar term store + persistent index backends | [`store`], [`backend`] |
 //!
 //! ## Quick start
@@ -89,6 +88,7 @@ pub mod candidate;
 pub mod classify;
 pub mod cluster;
 pub mod error;
+mod exec;
 pub mod filter;
 pub mod fusion;
 pub mod heuristics;
@@ -100,7 +100,6 @@ pub mod output;
 pub mod pipeline;
 pub mod probe;
 pub mod query;
-pub mod shard;
 pub mod sim;
 pub mod stage;
 pub mod store;

@@ -19,25 +19,26 @@
 //! resolved candidates and caches object descriptions per selection, so
 //! parameter sweeps and benches stop re-deriving state.
 //!
-//! Pairwise comparison is optionally parallelised over worker threads
-//! (`std::thread::scope`, one pre-sized distance cache per worker);
-//! results are deterministic regardless of the thread count.
+//! Pairwise comparison runs through the crate's one comparison executor,
+//! optionally parallelised over worker threads (`std::thread::scope`,
+//! one pre-sized distance cache per worker); results are deterministic
+//! regardless of the thread count.
 
 use crate::backend::{IndexContext, TermIndexBackend};
 use crate::candidate::{select_candidates, CandidateSet};
 use crate::classify::{Class, ThresholdClassifier};
 use crate::cluster::TransitiveClosure;
 use crate::error::DogmatixError;
+use crate::exec::{execute, unpruned, Pairs};
 use crate::filter::{NoFilter, ObjectFilter};
 use crate::heuristics::HeuristicExpr;
 use crate::mapping::Mapping;
 use crate::od::OdSet;
 use crate::output::clusters_to_xml;
-use crate::shard::ShardedDriver;
-use crate::sim::{DistCache, EditKernelChoice, SoftIdfMeasure};
+use crate::sim::{EditKernelChoice, SoftIdfMeasure};
 use crate::stage::{
-    Clusterer, ComparisonFilter, DescriptionSelector, FilterDecision, PairClassifier,
-    PreparedMeasure, SimContext, SimilarityMeasure,
+    Clusterer, ComparisonFilter, DescriptionSelector, FilterDecision, PairClassifier, SimContext,
+    SimilarityMeasure,
 };
 use dogmatix_xml::{Document, NodeId, Schema};
 use std::cell::RefCell;
@@ -266,7 +267,6 @@ pub struct Dogmatix {
     measure: Arc<dyn SimilarityMeasure>,
     classifier: Arc<dyn PairClassifier>,
     clusterer: Arc<dyn Clusterer>,
-    driver: Option<ShardedDriver>,
     index_backend: Option<Arc<dyn TermIndexBackend>>,
 }
 
@@ -293,7 +293,6 @@ impl Dogmatix {
             measure: None,
             classifier: None,
             clusterer: None,
-            driver: None,
             index_backend: None,
             edit_kernel: EditKernelChoice::default(),
         }
@@ -375,54 +374,34 @@ impl Dogmatix {
             pairs,
         } = self.filter.reduce(&ods);
         let pruned_by_filter = pruned.iter().filter(|p| **p).count();
-        let active: Vec<usize> = (0..n).filter(|i| !pruned[*i]).collect();
+        let (active, plan) = unpruned(&pruned, pairs);
+        let pairs = plan.as_deref().map_or(Pairs::All(&active), Pairs::Plan);
 
-        // Step 5: pairwise comparisons.
+        // Step 5: pairwise comparisons, keeping the C1 and C2 verdicts.
         let prepared = self.measure.prepare(SimContext {
             doc: session.doc(),
             candidates: &candidates,
             ods: &ods,
         });
-        let threads = self.threads();
-        let classifier = self.classifier.as_ref();
-        let (mut duplicate_pairs, mut possible_pairs, pairs_compared) = match (self.driver, pairs) {
-            (Some(driver), pairs) => {
-                // Sharded execution: materialise the plan (implicit
-                // all-pairs included), hash-partition it, and score the
-                // shards on scoped workers with per-shard caches.
-                let plan: Vec<(usize, usize)> = match pairs {
-                    None => active
-                        .iter()
-                        .enumerate()
-                        .flat_map(|(a, &i)| active[a + 1..].iter().map(move |&j| (i, j)))
-                        .collect(),
-                    Some(plan) => plan
-                        .into_iter()
-                        .filter(|(i, j)| !pruned[*i] && !pruned[*j])
-                        .collect(),
-                };
-                let compared = plan.len();
-                let found = driver.execute(&ods, prepared.as_ref(), classifier, &plan);
-                (found.0, found.1, compared)
-            }
-            (None, None) => {
-                let m = active.len();
-                let found = compare_all(prepared.as_ref(), &active, classifier, threads);
-                (found.0, found.1, m * m.saturating_sub(1) / 2)
-            }
-            (None, Some(plan)) => {
-                let plan: Vec<(usize, usize)> = plan
-                    .into_iter()
-                    .filter(|(i, j)| !pruned[*i] && !pruned[*j])
-                    .collect();
-                let compared = plan.len();
-                let found = compare_plan(prepared.as_ref(), &plan, classifier, threads);
-                (found.0, found.1, compared)
-            }
-        };
+        let mut found = Vec::new();
+        execute(
+            &ods,
+            pairs,
+            self.threads(),
+            prepared.as_ref(),
+            self.classifier.as_ref(),
+            &mut found,
+            |i, j, sim, class| (class != Class::NonDuplicate).then_some((i, j, sim, class)),
+        );
         drop(prepared);
-        duplicate_pairs.sort_by_key(|p| (p.0, p.1));
-        possible_pairs.sort_by_key(|p| (p.0, p.1));
+        found.sort_by_key(|&(i, j, _, _)| (i, j));
+        let (mut duplicate_pairs, mut possible_pairs) = (Vec::new(), Vec::new());
+        for (i, j, sim, class) in found {
+            match class {
+                Class::Duplicate => duplicate_pairs.push((i, j, sim)),
+                _ => possible_pairs.push((i, j, sim)),
+            }
+        }
 
         // Step 6: duplicate clustering.
         let pairs_only: Vec<(usize, usize)> =
@@ -441,7 +420,7 @@ impl Dogmatix {
                 candidates: n,
                 pruned_by_filter,
                 pairs_total: n * n.saturating_sub(1) / 2,
-                pairs_compared,
+                pairs_compared: pairs.len(),
             },
         })
     }
@@ -603,7 +582,6 @@ pub struct DogmatixBuilder {
     measure: Option<Arc<dyn SimilarityMeasure>>,
     classifier: Option<Arc<dyn PairClassifier>>,
     clusterer: Option<Arc<dyn Clusterer>>,
-    driver: Option<ShardedDriver>,
     index_backend: Option<Arc<dyn TermIndexBackend>>,
     edit_kernel: EditKernelChoice,
 }
@@ -709,21 +687,32 @@ impl DogmatixBuilder {
     }
 
     /// Sets the worker-thread count for pairwise comparison (`0` = all
-    /// available cores).
+    /// available cores). `1` scores every pair on the caller's thread;
+    /// more split the comparisons round-robin over scoped workers once
+    /// there are at least 2,048 pairs. Results are bit-identical at
+    /// every thread count.
+    ///
+    /// ```
+    /// use dogmatix_core::pipeline::Dogmatix;
+    /// use dogmatix_xml::{Document, Schema};
+    ///
+    /// let doc = Document::parse(
+    ///     "<db><m><t>Same Song</t></m><m><t>Same Song</t></m>\
+    ///          <m><t>Other Tune</t></m></db>")?;
+    /// let schema = Schema::infer(&doc)?;
+    /// let run = |threads| Dogmatix::builder()
+    ///     .add_type("M", ["/db/m"])
+    ///     .threads(threads)
+    ///     .build()
+    ///     .run(&doc, &schema, "M");
+    /// let sequential = run(1)?;
+    /// for threads in [2, 8, 0] {
+    ///     assert_eq!(run(threads)?, sequential);
+    /// }
+    /// # Ok::<(), dogmatix_core::DogmatixError>(())
+    /// ```
     pub fn threads(mut self, threads: usize) -> Self {
         self.config.threads = threads;
-        self
-    }
-
-    /// Executes pairwise comparison through a
-    /// [`ShardedDriver`]: the pair plan is
-    /// hash-partitioned by candidate id into `shards` per-shard plans
-    /// (plus a cross-shard residual), each scored by its own scoped
-    /// worker with a plan-sized distance cache. `0` = one shard per
-    /// available core. Results are bit-identical to the unsharded
-    /// pipeline at every shard count.
-    pub fn sharded(mut self, shards: usize) -> Self {
-        self.driver = Some(ShardedDriver::new(shards));
         self
     }
 
@@ -762,7 +751,6 @@ impl DogmatixBuilder {
             measure,
             classifier,
             clusterer,
-            driver,
             index_backend,
             edit_kernel,
         } = self;
@@ -794,145 +782,9 @@ impl DogmatixBuilder {
             measure,
             classifier,
             clusterer,
-            driver,
             index_backend,
         }
     }
-}
-
-/// Compares all pairs of `active` candidates, returning the detected
-/// duplicate and possible-duplicate pairs.
-fn compare_all(
-    measure: &dyn PreparedMeasure,
-    active: &[usize],
-    classifier: &dyn PairClassifier,
-    threads: usize,
-) -> FoundPairs {
-    let sequential = threads <= 1 || active.len() < 64;
-    compare_sharded(
-        threads,
-        sequential,
-        active.len(),
-        |start, stride, cache, found| {
-            let mut a = start;
-            while a < active.len() {
-                let i = active[a];
-                for &j in &active[a + 1..] {
-                    score_pair(measure, classifier, i, j, cache, found);
-                }
-                a += stride;
-            }
-        },
-        merge_found,
-    )
-}
-
-/// Compares an explicit pair plan (blocking filters), same contract as
-/// [`compare_all`].
-fn compare_plan(
-    measure: &dyn PreparedMeasure,
-    plan: &[(usize, usize)],
-    classifier: &dyn PairClassifier,
-    threads: usize,
-) -> FoundPairs {
-    let sequential = threads <= 1 || plan.len() < 2048;
-    compare_sharded(
-        threads,
-        sequential,
-        plan.len(),
-        |start, stride, cache, found| {
-            let mut p = start;
-            while p < plan.len() {
-                let (i, j) = plan[p];
-                score_pair(measure, classifier, i, j, cache, found);
-                p += stride;
-            }
-        },
-        merge_found,
-    )
-}
-
-/// Duplicate and possible-duplicate pairs found by one comparison pass.
-pub(crate) type FoundPairs = (Vec<(usize, usize, f64)>, Vec<(usize, usize, f64)>);
-
-/// Scores one pair and files it into the matching bucket.
-#[inline]
-pub(crate) fn score_pair(
-    measure: &dyn PreparedMeasure,
-    classifier: &dyn PairClassifier,
-    i: usize,
-    j: usize,
-    cache: &mut DistCache,
-    found: &mut FoundPairs,
-) {
-    let sim = measure.sim(i, j, cache);
-    match classifier.classify(sim) {
-        Class::Duplicate => found.0.push((i, j, sim)),
-        Class::Possible => found.1.push((i, j, sim)),
-        Class::NonDuplicate => {}
-    }
-}
-
-/// Drives a comparison pass over an arbitrary accumulator `R`:
-/// sequentially (`shard(0, 1, …)` covers all work with a fresh cache),
-/// or round-robin across `threads` scoped workers, each owning a private
-/// pre-sized distance cache; `merge` folds each worker's local
-/// accumulator into the shared one under a mutex. Worker outputs are
-/// concatenated in arrival order; callers sort, so results are
-/// deterministic regardless of the thread count. Shared with the
-/// incremental path ([`crate::incremental`]), whose accumulator also
-/// keeps non-duplicate verdicts.
-pub(crate) fn compare_sharded<R, F>(
-    threads: usize,
-    sequential: bool,
-    work_items: usize,
-    shard: F,
-    merge: impl Fn(&mut R, R) + Sync,
-) -> R
-where
-    R: Default + Send,
-    F: Fn(usize, usize, &mut DistCache, &mut R) + Sync,
-{
-    if sequential {
-        let mut found = R::default();
-        shard(0, 1, &mut DistCache::new(), &mut found);
-        return found;
-    }
-
-    let cache_entries = worker_cache_capacity(work_items, threads);
-    let results = std::sync::Mutex::new(R::default());
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let results = &results;
-            let shard = &shard;
-            let merge = &merge;
-            scope.spawn(move || {
-                let mut cache = DistCache::with_capacity(cache_entries);
-                let mut local = R::default();
-                shard(t, threads, &mut cache, &mut local);
-                // dxlint: allow(no-panic) — poisoning means a worker already panicked; propagate the abort
-                let mut out = results.lock().expect("no worker panicked holding the lock");
-                merge(&mut out, local);
-            });
-        }
-    });
-    results
-        .into_inner()
-        // dxlint: allow(no-panic) — poisoning means a worker already panicked; propagate the abort
-        .expect("no worker panicked holding the lock")
-}
-
-/// Folds one worker's [`FoundPairs`] into the shared accumulator.
-fn merge_found(out: &mut FoundPairs, local: FoundPairs) {
-    out.0.extend(local.0);
-    out.1.extend(local.1);
-}
-
-/// A worker cache sized for its share of the comparison work: each
-/// round-robin worker executes `work_items / threads` pairs, and the
-/// shared plan-based sizing ([`crate::sim`]) clamps tiny and huge plans.
-fn worker_cache_capacity(work_items: usize, threads: usize) -> usize {
-    crate::sim::cache_capacity_for_plan(work_items / threads.max(1))
 }
 
 #[cfg(test)]
@@ -1275,5 +1127,60 @@ mod tests {
             dx.formulated_queries(&schema, "MOVIE"),
             Err(DogmatixError::PathNotInSchema { .. })
         ));
+    }
+
+    /// `threads(1)` is truly sequential: with enough pairs to pass the
+    /// executor's 2,048-pair inline cut-off, every `sim` call still runs
+    /// on the caller's thread.
+    #[test]
+    fn one_thread_scores_every_pair_on_the_callers_thread() {
+        use crate::sim::DistCache;
+        use crate::stage::PreparedMeasure;
+        use std::sync::Mutex;
+        use std::thread::ThreadId;
+
+        type Calls = Arc<Mutex<Vec<ThreadId>>>;
+        #[derive(Debug)]
+        struct Recording(Calls);
+        struct Recorder(Calls);
+        impl SimilarityMeasure for Recording {
+            fn prepare<'a>(&self, _: SimContext<'a>) -> Box<dyn PreparedMeasure + 'a> {
+                Box::new(Recorder(Arc::clone(&self.0)))
+            }
+        }
+        impl PreparedMeasure for Recorder {
+            fn sim(&self, _: usize, _: usize, _: &mut DistCache) -> f64 {
+                self.0.lock().unwrap().push(std::thread::current().id());
+                0.0
+            }
+        }
+
+        let records: String = (0..70)
+            .map(|k| format!("<m><t>Title {k}</t></m>"))
+            .collect();
+        let doc = Document::parse(&format!("<r>{records}</r>")).unwrap();
+        let schema = Schema::infer(&doc).unwrap();
+        let calls: Calls = Arc::default();
+        let run = |threads| {
+            calls.lock().unwrap().clear();
+            let result = Dogmatix::builder()
+                .add_type("M", ["/r/m"])
+                .no_filter()
+                .measure(Recording(Arc::clone(&calls)))
+                .threads(threads)
+                .build()
+                .run(&doc, &schema, "M")
+                .unwrap();
+            assert_eq!(result.stats.pairs_compared, 70 * 69 / 2);
+            std::mem::take(&mut *calls.lock().unwrap())
+        };
+        let caller = std::thread::current().id();
+        let sequential = run(1);
+        assert_eq!(sequential.len(), 70 * 69 / 2);
+        assert!(sequential.iter().all(|&id| id == caller));
+        // The same source at 4 threads does leave the caller's thread.
+        let parallel = run(4);
+        assert_eq!(parallel.len(), 70 * 69 / 2);
+        assert!(parallel.iter().all(|&id| id != caller));
     }
 }

@@ -45,13 +45,13 @@
 use crate::candidate::select_candidates;
 use crate::classify::Class;
 use crate::error::DogmatixError;
+use crate::exec::{execute, Pairs};
 use crate::filter::{
     LookupScratch, LshBucketIndex, MinHashLshBlocking, QGramBlocking, QGramTermIndex,
 };
 use crate::mapping::Mapping;
 use crate::od::{extract_raw_tuples, OdSet, RawTuple};
 use crate::pipeline::{selections_for_paths, Dogmatix};
-use crate::sim::DistCache;
 use crate::stage::{PairClassifier, SimContext, SimilarityMeasure};
 use dogmatix_textsim::{mix64, word_token_hashes_into};
 use dogmatix_xml::{Document, NodeId};
@@ -141,6 +141,7 @@ pub struct ProbeScratch {
     token_list: Vec<u64>,
     word_hashes: Vec<u64>,
     ext_nodes: Vec<NodeId>,
+    pairs: Vec<(usize, usize)>,
     scored: Vec<ProbeMatch>,
 }
 
@@ -499,10 +500,10 @@ impl ProbeSnapshot {
                 .zip(self.parts.iter().map(|p| p.as_slice()))
                 .chain(std::iter::once((probe_node, record))),
         );
-        crate::store::audit::audit_gate(&ext, "probe extended OD interning");
 
-        // 3. Score candidates through the pinned stages. The cache is
-        // per-probe: the record's fresh term ids alias across probes.
+        // 3. Score (candidate, record) pairs through the pinned stages on
+        // this thread. The executor audits the extended set and keeps one
+        // cache per probe: the record's fresh term ids alias across probes.
         scratch.ext_nodes.clear();
         scratch.ext_nodes.extend(self.nodes.iter().copied());
         scratch.ext_nodes.push(probe_node);
@@ -511,20 +512,27 @@ impl ProbeSnapshot {
             candidates: &scratch.ext_nodes,
             ods: &ext,
         });
-        let mut cache = DistCache::new();
+        scratch.pairs.clear();
+        scratch
+            .pairs
+            .extend(scratch.candidates.iter().map(|&j| (j, n)));
         scratch.scored.clear();
-        for &j in &scratch.candidates {
-            let sim = prepared.sim(j, n, &mut cache);
-            let class = self.classifier.classify(sim);
-            if class != Class::NonDuplicate {
-                scratch.scored.push(ProbeMatch {
+        execute(
+            &ext,
+            Pairs::Plan(&scratch.pairs),
+            1,
+            prepared.as_ref(),
+            self.classifier.as_ref(),
+            &mut scratch.scored,
+            |j, _, sim, class| {
+                (class != Class::NonDuplicate).then(|| ProbeMatch {
                     index: j,
                     node: self.nodes[j],
                     sim,
                     class,
-                });
-            }
-        }
+                })
+            },
+        );
         scratch
             .scored
             .sort_by(|a, b| b.sim.total_cmp(&a.sim).then(a.index.cmp(&b.index)));

@@ -103,33 +103,13 @@ impl DistCache {
         }
     }
 
-    /// Resets the cache for the next unit of a plan: memo tables are
-    /// cleared (per-unit memoisation keeps memory bounded exactly as a
-    /// fresh cache would) and grown toward the plan-derived capacity,
-    /// while every scratch allocation — kernel pattern state, DP rows,
-    /// batch buffers — stays warm. Workers executing many units reuse
-    /// one cache through this instead of building a new one per unit.
-    pub fn reset_for_plan(&mut self, plan_len: usize) {
-        let target = cache_capacity_for_plan(plan_len);
-        self.dist.clear();
-        self.similar.clear();
-        self.union.clear();
-        self.dist
-            .reserve(target.saturating_sub(self.dist.capacity()));
-        self.similar
-            .reserve(target.saturating_sub(self.similar.capacity()));
-        self.union
-            .reserve(target.saturating_sub(self.union.capacity()));
-    }
-
     /// Creates a cache pre-sized for a comparison plan of `plan_len`
-    /// pairs — the per-worker sizing used by both the round-robin
-    /// pipeline workers and the sharded driver.
+    /// pairs — the sizing each parallel comparison worker gets for its
+    /// share of the pairs.
     ///
-    /// Sizing from the *plan the worker actually executes* (rather than
-    /// a global pool estimate) matters for skewed shards: a shard whose
-    /// plan holds a single pair gets the minimum table instead of a
-    /// share of the whole run's pair count.
+    /// Sizing from the *pairs the worker actually scores* (rather than
+    /// a global pool estimate) keeps small plans small: a plan holding a
+    /// single pair gets the minimum table.
     pub fn for_plan(plan_len: usize) -> Self {
         DistCache::with_capacity(cache_capacity_for_plan(plan_len))
     }
@@ -153,10 +133,10 @@ impl DistCache {
 /// Memoised-entry budget for a worker about to score `plan_len` pairs.
 /// Only *frequent* term pairs are memoised, and their count is far below
 /// the OD-pair count, so roughly two entries per planned pair is ample;
-/// the clamp keeps tiny shards at the minimum table and huge corpora
+/// the clamp keeps tiny plans at the minimum table and huge corpora
 /// bounded. (Over-sizing is not free: allocating multi-megabyte tables
-/// per shard costs more than the rehashes they would avoid.)
-pub(crate) fn cache_capacity_for_plan(plan_len: usize) -> usize {
+/// per worker costs more than the rehashes they would avoid.)
+fn cache_capacity_for_plan(plan_len: usize) -> usize {
     plan_len.saturating_mul(2).clamp(16, 1 << 16)
 }
 
@@ -1070,37 +1050,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_for_plan_clears_memo_but_keeps_results_identical() {
-        // Both year terms occur in two ODs, so the (1999, 2002) pair is
-        // frequent and lands in the memo tables.
-        let ods = build_odset(
-            "<r><m><y>1999</y><t>Alpha One</t></m>\
-                <m><y>1999</y><t>Beta Two</t></m>\
-                <m><y>2002</y><t>Gamma Three</t></m>\
-                <m><y>2002</y><t>Delta Four</t></m></r>",
-            "/r/m",
-            &["/r/m/y", "/r/m/t"],
-        );
-        let engine = SimEngine::new(&ods, 0.45);
-        let mut fresh = DistCache::new();
-        let mut reused = DistCache::for_plan(64);
-        engine.sim(0, 2, &mut reused);
-        assert!(!reused.is_empty());
-        reused.reset_for_plan(8);
-        assert!(reused.is_empty(), "reset clears the memo tables");
-        assert!(reused.capacity() >= 16);
-        for i in 0..ods.len() {
-            for j in (i + 1)..ods.len() {
-                assert_eq!(
-                    engine.sim(i, j, &mut fresh),
-                    engine.sim(i, j, &mut reused),
-                    "a reset cache must behave like a fresh one"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn with_capacity_presizes_and_agrees_with_new() {
         let ods = movie_odset();
         let engine = SimEngine::new(&ods, 0.45);
@@ -1122,14 +1071,14 @@ mod tests {
 
     #[test]
     fn plan_sized_cache_scales_with_the_plan_not_the_pool() {
-        // Regression: a 1-pair shard used to inherit a share of the
+        // Regression: a 1-pair plan used to inherit a share of the
         // global pool estimate; it must get the minimum table instead.
         assert_eq!(cache_capacity_for_plan(0), 16);
         assert_eq!(cache_capacity_for_plan(1), 16);
         let one_pair = DistCache::for_plan(1);
         assert!(
             one_pair.capacity() <= 64,
-            "a 1-pair shard must not pre-allocate a pool-sized table, got {}",
+            "a 1-pair plan must not pre-allocate a pool-sized table, got {}",
             one_pair.capacity()
         );
         assert!(DistCache::for_plan(10_000).capacity() >= 16 * 1024);

@@ -4,7 +4,7 @@
 //!
 //! The pre-columnar representation carried four owned `String`s per OD
 //! tuple and a `HashMap<(u32, String), TermId>` interner, so every layer
-//! of the pipeline — batch, incremental, sharded, blocking — paid
+//! of the pipeline — batch, incremental, parallel, blocking — paid
 //! allocation and hashing costs on data that is immutable once built.
 //! Here all strings (normalised term values, raw tuple values, schema
 //! paths, real-world type names) live in **one byte arena** addressed by

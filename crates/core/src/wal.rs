@@ -85,7 +85,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::backend::{doc_fingerprint, snapshot_from_bytes, snapshot_to_bytes};
+use crate::backend::{checksum, doc_fingerprint, snapshot_from_bytes, snapshot_to_bytes};
 use crate::error::DogmatixError;
 use crate::incremental::{DocumentDelta, IncrementalSession};
 use crate::mapping::Mapping;
@@ -111,14 +111,6 @@ fn wal_err(message: impl Into<String>) -> DogmatixError {
     DogmatixError::Wal {
         message: message.into(),
     }
-}
-
-/// Same integrity checksum as the snapshot backend: FNV-1a finished
-/// with splitmix64.
-fn checksum(bytes: &[u8]) -> u64 {
-    let mut h = dogmatix_textsim::Fnv1a::new();
-    h.update(bytes);
-    dogmatix_textsim::mix64(h.finish())
 }
 
 /// When the log file is flushed to stable storage.

@@ -272,7 +272,7 @@ fn no_column_index(file: &SourceFile, allows: &Allows, out: &mut Vec<Finding>) {
     }
 }
 
-/// no-hot-alloc: the pairwise hot paths (sim.rs, filter.rs, shard.rs),
+/// no-hot-alloc: the pairwise hot paths (sim.rs, filter.rs, exec.rs),
 /// the probe lookup path (probe.rs), and the textsim comparison kernels
 /// (levenshtein, bounds, ned, myers, kernel) must not allocate Strings
 /// per comparison — `format!`, `String::new` and friends,
@@ -281,7 +281,7 @@ fn no_hot_alloc(file: &SourceFile, allows: &Allows, out: &mut Vec<Finding>) {
     let hot = [
         "crates/core/src/sim.rs",
         "crates/core/src/filter.rs",
-        "crates/core/src/shard.rs",
+        "crates/core/src/exec.rs",
         "crates/core/src/probe.rs",
         "crates/textsim/src/levenshtein.rs",
         "crates/textsim/src/bounds.rs",
@@ -715,9 +715,11 @@ mod tests {
     #[test]
     fn hot_alloc_flags_only_hot_files() {
         let src = "fn f(x: u32) -> String { format!(\"{x}\") }";
-        let hot = run(vec![file("crates/core/src/sim.rs", src)], None);
-        assert_eq!(hot.len(), 1);
-        assert_eq!(hot[0].rule, "no-hot-alloc");
+        for path in ["crates/core/src/sim.rs", "crates/core/src/exec.rs"] {
+            let hot = run(vec![file(path, src)], None);
+            assert_eq!(hot.len(), 1, "{path}");
+            assert_eq!(hot[0].rule, "no-hot-alloc");
+        }
         let cold = run(vec![file("crates/core/src/report.rs", src)], None);
         assert!(cold.is_empty());
     }

@@ -35,8 +35,6 @@
 //!   --mem-budget <bytes>   buffer-pool memory budget for --index-paged
 //!                          loads (default 67108864 = 64 MiB); peak
 //!                          pool residency never exceeds it
-//!   --shards <N>           execute the pair plan through the sharded
-//!                          driver with N shards; 0 = one per core
 //!   --no-filter            disable comparison reduction
 //!   --fuse                 also write a fused (deduplicated) document
 //!   --output <file>        write the dup-cluster XML here (default stdout)
@@ -97,7 +95,6 @@ struct Options {
     threads: usize,
     edit_kernel: EditKernelChoice,
     blocking: Option<Blocking>,
-    shards: Option<usize>,
     index_save: Option<String>,
     index_load: Option<String>,
     index_paged: bool,
@@ -146,7 +143,6 @@ const KNOWN_FLAGS: &[&str] = &[
     "--threads",
     "--edit-kernel",
     "--blocking",
-    "--shards",
     "--index-save",
     "--index-load",
     "--index-paged",
@@ -191,7 +187,6 @@ fn parse_args() -> Result<Options, String> {
         threads: 0,
         edit_kernel: EditKernelChoice::default(),
         blocking: None,
-        shards: None,
         index_save: None,
         index_load: None,
         index_paged: false,
@@ -237,13 +232,6 @@ fn parse_args() -> Result<Options, String> {
             }
             "--edit-kernel" => opts.edit_kernel = value("--edit-kernel")?.parse()?,
             "--blocking" => opts.blocking = Some(value("--blocking")?.parse()?),
-            "--shards" => {
-                opts.shards = Some(
-                    value("--shards")?
-                        .parse()
-                        .map_err(|_| "--shards must be a non-negative integer".to_string())?,
-                )
-            }
             "--index-save" => opts.index_save = Some(value("--index-save")?),
             "--index-load" => opts.index_load = Some(value("--index-load")?),
             "--index-paged" => opts.index_paged = true,
@@ -308,7 +296,7 @@ const HELP: &str = "usage: dogmatix <input.xml> --type <NAME> \
 [--heuristic rd:<r>|ra:<r>|kc:<k>|auto] [--exp 1..8] \
 [--theta-tuple f] [--theta-cand f] [--threads N] \
 [--edit-kernel scalar|bitpar] [--blocking qgram|lsh] \
-[--shards N] [--no-filter] [--fuse] \
+[--no-filter] [--fuse] \
 [--index-save f | --index-load f] [--index-paged [--mem-budget bytes]] \
 [--output out.xml] [--deltas script.txt] \
 [--probe '<xml>' [--probe-k N]] [--emit-queries]";
@@ -395,9 +383,6 @@ fn run(opts: Options) -> Result<(), String> {
         Some(Blocking::QGram) => builder = builder.filter(QGramBlocking::new(2, opts.theta_tuple)),
         Some(Blocking::Lsh) => builder = builder.filter(MinHashLshBlocking::new(48, 2)),
         None => {}
-    }
-    if let Some(shards) = opts.shards {
-        builder = builder.sharded(shards);
     }
     let mem_budget = opts.mem_budget.unwrap_or(64 << 20);
     if let Some(path) = &opts.index_save {

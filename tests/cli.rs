@@ -175,13 +175,13 @@ fn threads_flag_rejects_non_numbers() {
 }
 
 #[test]
-fn blocking_and_shards_flags_detect_the_same_duplicates() {
+fn blocking_and_threads_flags_detect_the_same_duplicates() {
     for blocking in ["qgram", "lsh"] {
         let paths = write_sample();
         let out = dogmatix()
             .arg(&paths.input)
             .args(["--type", "MOVIE", "--blocking", blocking])
-            .args(["--shards", "4"])
+            .args(["--threads", "4"])
             .args(["--mapping", paths.mapping.to_str().unwrap()])
             .args(["--output", paths.output.to_str().unwrap()])
             .output()
@@ -211,23 +211,6 @@ fn blocking_flag_rejects_unknown_strategies() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
         stderr.contains("--blocking must be 'qgram' or 'lsh'"),
-        "{stderr}"
-    );
-    let _ = std::fs::remove_dir_all(&paths.dir);
-}
-
-#[test]
-fn shards_flag_rejects_non_numbers() {
-    let paths = write_sample();
-    let out = dogmatix()
-        .arg(&paths.input)
-        .args(["--type", "MOVIE", "--shards", "lots"])
-        .output()
-        .expect("binary runs");
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("--shards must be a non-negative integer"),
         "{stderr}"
     );
     let _ = std::fs::remove_dir_all(&paths.dir);

@@ -198,7 +198,7 @@ fn sweep_over_one_session_matches_independent_runs() {
 
 /// The snapshot-backend path: a run that persists its term index and a
 /// run warm-started from that snapshot must both equal the legacy
-/// in-memory result exactly — on both corpora, sequential and sharded.
+/// in-memory result exactly — on both corpora, sequential and threaded.
 #[test]
 fn snapshot_warm_start_equivalence_on_both_corpora() {
     use dogmatix_repro::core::backend::SnapshotBackend;
@@ -229,34 +229,32 @@ fn snapshot_warm_start_equivalence_on_both_corpora() {
             "dogmatix-equivalence-{}-{tag}.index",
             std::process::id()
         ));
-        let build = |backend: Option<SnapshotBackend>, shards: Option<usize>| {
+        let build = |backend: Option<SnapshotBackend>, threads: usize| {
             let mut b = Dogmatix::builder()
                 .mapping(mapping.clone())
                 .heuristic(heuristic.clone())
                 .theta_tuple(setup::THETA_TUPLE)
-                .theta_cand(setup::THETA_CAND);
+                .theta_cand(setup::THETA_CAND)
+                .threads(threads);
             if let Some(backend) = backend {
                 b = b.index_backend(backend);
             }
-            if let Some(shards) = shards {
-                b = b.sharded(shards);
-            }
             b.build().run(&doc, &schema, rw_type).expect("run succeeds")
         };
-        let reference = build(None, None);
+        let reference = build(None, 1);
         assert!(
             !reference.duplicate_pairs.is_empty(),
             "{tag} has duplicates"
         );
-        let saved = build(Some(SnapshotBackend::save(&path)), None);
+        let saved = build(Some(SnapshotBackend::save(&path)), 1);
         assert_eq!(reference, saved, "{tag}: save path diverged");
-        let warm = build(Some(SnapshotBackend::load(&path)), None);
+        let warm = build(Some(SnapshotBackend::load(&path)), 1);
         assert_eq!(reference, warm, "{tag}: warm start diverged");
-        for shards in [2usize, 0] {
-            let sharded_warm = build(Some(SnapshotBackend::load(&path)), Some(shards));
+        for threads in [2usize, 0] {
+            let threaded_warm = build(Some(SnapshotBackend::load(&path)), threads);
             assert_eq!(
-                reference, sharded_warm,
-                "{tag}: sharded ({shards}) warm start diverged"
+                reference, threaded_warm,
+                "{tag}: threaded ({threads}) warm start diverged"
             );
         }
         let _ = std::fs::remove_file(&path);
@@ -385,7 +383,7 @@ fn every_public_stage_impl_is_exercised() {
 /// The edit-distance kernels are exact, so `--edit-kernel scalar` and
 /// `--edit-kernel bitpar` must produce bit-identical `DetectionResult`s
 /// — same pairs, same similarity values — on both corpora, sequential
-/// and sharded, whether selected through the builder or through an
+/// and threaded, whether selected through the builder or through an
 /// explicit `SoftIdfMeasure::with_kernel` stage.
 #[test]
 fn edit_kernel_equivalence_on_both_corpora() {
@@ -413,29 +411,29 @@ fn edit_kernel_equivalence_on_both_corpora() {
         )
     };
     for (tag, (doc, schema, mapping, heuristic, rw_type)) in [("cd", cd), ("movie", movie)] {
-        let build = |choice: EditKernelChoice, shards: Option<usize>| {
-            let mut b = Dogmatix::builder()
+        let build = |choice: EditKernelChoice, threads: usize| {
+            Dogmatix::builder()
                 .mapping(mapping.clone())
                 .heuristic(heuristic.clone())
                 .theta_tuple(setup::THETA_TUPLE)
                 .theta_cand(setup::THETA_CAND)
-                .edit_kernel(choice);
-            if let Some(shards) = shards {
-                b = b.sharded(shards);
-            }
-            b.build().run(&doc, &schema, rw_type).expect("run succeeds")
+                .edit_kernel(choice)
+                .threads(threads)
+                .build()
+                .run(&doc, &schema, rw_type)
+                .expect("run succeeds")
         };
-        let reference = build(EditKernelChoice::BitParallel, None);
+        let reference = build(EditKernelChoice::BitParallel, 1);
         assert!(
             !reference.duplicate_pairs.is_empty(),
             "{tag} has duplicates"
         );
         for choice in [EditKernelChoice::Scalar, EditKernelChoice::BitParallel] {
-            for shards in [None, Some(2usize), Some(0)] {
-                let result = build(choice, shards);
+            for threads in [1usize, 2, 0] {
+                let result = build(choice, threads);
                 assert_eq!(
                     reference, result,
-                    "{tag}: kernel {choice} (shards {shards:?}) diverged"
+                    "{tag}: kernel {choice} (threads {threads}) diverged"
                 );
             }
             // The explicit-measure spelling of the same selection.
@@ -454,7 +452,7 @@ fn edit_kernel_equivalence_on_both_corpora() {
 }
 
 /// The paged (v2) backend is an out-of-core drop-in: on both corpora,
-/// sequential and sharded, its results are bit-identical to the
+/// sequential and threaded, its results are bit-identical to the
 /// in-memory build while its buffer pool provably stays under a budget
 /// smaller than the snapshot it serves.
 #[test]
@@ -489,26 +487,24 @@ fn paged_backend_equivalence_on_both_corpora() {
             "dogmatix-equivalence-paged-{}-{tag}.dxts2",
             std::process::id()
         ));
-        let build = |backend: Option<Arc<PagedBackend>>, shards: Option<usize>| {
+        let build = |backend: Option<Arc<PagedBackend>>, threads: usize| {
             let mut b = Dogmatix::builder()
                 .mapping(mapping.clone())
                 .heuristic(heuristic.clone())
                 .theta_tuple(setup::THETA_TUPLE)
-                .theta_cand(setup::THETA_CAND);
+                .theta_cand(setup::THETA_CAND)
+                .threads(threads);
             if let Some(backend) = backend {
                 b = b.index_backend(backend);
             }
-            if let Some(shards) = shards {
-                b = b.sharded(shards);
-            }
             b.build().run(&doc, &schema, rw_type).expect("run succeeds")
         };
-        let reference = build(None, None);
+        let reference = build(None, 1);
         let saved = build(
             Some(Arc::new(
                 PagedBackend::save(&path, BUDGET).with_page_size(512),
             )),
-            None,
+            1,
         );
         assert_eq!(reference, saved, "{tag}: paged save path diverged");
         let snapshot_len = std::fs::metadata(&path).expect("snapshot written").len();
@@ -517,12 +513,12 @@ fn paged_backend_equivalence_on_both_corpora() {
             "{tag}: snapshot ({snapshot_len} B) must exceed the {BUDGET} B budget \
              for the test to exercise eviction"
         );
-        for shards in [None, Some(2usize), Some(0)] {
+        for threads in [1usize, 2, 0] {
             let backend = Arc::new(PagedBackend::open(&path, BUDGET));
-            let warm = build(Some(backend.clone()), shards);
+            let warm = build(Some(backend.clone()), threads);
             assert_eq!(
                 reference, warm,
-                "{tag}: paged warm start (shards {shards:?}) diverged"
+                "{tag}: paged warm start (threads {threads}) diverged"
             );
             let stats = backend.last_stats().expect("load records pool stats");
             assert!(

@@ -1,8 +1,9 @@
-//! Differential suite for sharded pair-plan execution: for ANY corpus,
-//! ANY comparison filter, and ANY shard count, the `ShardedDriver` must
-//! produce a `DetectionResult` **bit-identical** to the unsharded
+//! Differential suite for the comparison executor's worker sharding:
+//! for ANY corpus, ANY comparison filter, and ANY thread count, the
+//! pairs split round-robin over worker threads must produce a
+//! `DetectionResult` **bit-identical** to the sequential `threads(1)`
 //! pipeline — same pairs, same similarity scores (f64 equality), same
-//! clusters, same stats. Sharding partitions execution, never semantics.
+//! clusters, same stats. Threads partition execution, never semantics.
 //!
 //! The number of property cases honours the `PROPTEST_CASES` environment
 //! override (ci.sh sets it to 128; local runs default lower).
@@ -13,20 +14,19 @@ use common::{build_doc, cases, record_strategy, MiniRecord};
 use dogmatix_repro::core::filter::{MinHashLshBlocking, QGramBlocking};
 use dogmatix_repro::core::neighborhood::{SortedNeighborhoodFilter, TopKBlocking};
 use dogmatix_repro::core::pipeline::Dogmatix;
-use dogmatix_repro::core::shard::ShardedDriver;
 use dogmatix_repro::datagen::datasets::dataset1_sized;
 use dogmatix_repro::eval::setup;
 use dogmatix_repro::xml::Schema;
 use proptest::prelude::*;
 
-/// Shard counts the differential property checks: explicit 1, 2, 8 plus
-/// auto (0 = available parallelism).
-const SHARD_COUNTS: [usize; 4] = [1, 2, 8, 0];
+/// Thread counts the differential checks against the `threads(1)`
+/// baseline: explicit 1, 2, 8 plus auto (0 = available parallelism).
+const THREAD_COUNTS: [usize; 4] = [1, 2, 8, 0];
 
 // ---- corpus ----------------------------------------------------------
 
 /// A corpus plus clone instructions, so generated documents contain real
-/// duplicate pairs (otherwise most sharded work would score nothing).
+/// duplicate pairs (otherwise most comparisons would score nothing).
 fn corpus_strategy() -> impl Strategy<Value = Vec<MiniRecord>> {
     (
         proptest::collection::vec(record_strategy(), 3..9),
@@ -43,7 +43,7 @@ fn corpus_strategy() -> impl Strategy<Value = Vec<MiniRecord>> {
 
 // ---- detector matrix --------------------------------------------------
 
-/// Every bundled comparison filter the driver must be neutral under.
+/// Every bundled comparison filter the thread count must be neutral under.
 const FILTERS: [FilterKind; 6] = [
     FilterKind::Object,
     FilterKind::NoFilter,
@@ -63,32 +63,28 @@ enum FilterKind {
     Lsh,
 }
 
-/// A detector with the given filter stage; `shards = None` is the plain
-/// unsharded pipeline, `Some(s)` routes execution through the driver.
-fn detector(kind: FilterKind, theta_tuple: f64, shards: Option<usize>) -> Dogmatix {
-    let mut b = Dogmatix::builder()
+/// A detector with the given filter stage and comparison thread count.
+fn detector(kind: FilterKind, theta_tuple: f64, threads: usize) -> Dogmatix {
+    let b = Dogmatix::builder()
         .add_type("ITEM", ["/db/item"])
         .theta_tuple(theta_tuple)
-        .threads(1);
-    b = match kind {
+        .threads(threads);
+    match kind {
         FilterKind::Object => b, // the paper-default object filter
         FilterKind::NoFilter => b.no_filter(),
         FilterKind::TopK => b.filter(TopKBlocking::new(2)),
         FilterKind::SortedNeighborhood => b.filter(SortedNeighborhoodFilter::new(3)),
         FilterKind::QGram => b.filter(QGramBlocking::new(2, theta_tuple)),
         FilterKind::Lsh => b.filter(MinHashLshBlocking::new(8, 2)),
-    };
-    if let Some(s) = shards {
-        b = b.sharded(s);
     }
-    b.build()
+    .build()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(12)))]
 
-    /// The centrepiece: under every filter, the driver at shard counts
-    /// 1/2/8/auto reproduces the unsharded result bit for bit.
+    /// The centrepiece: under every filter, thread counts 1/2/8/auto
+    /// reproduce the `threads(1)` result bit for bit.
     #[test]
     fn sharded_execution_is_bit_identical_under_every_filter(
         records in corpus_strategy(),
@@ -97,56 +93,32 @@ proptest! {
         let doc = build_doc(&records);
         let schema = Schema::infer(&doc).expect("non-empty docs infer");
         for kind in FILTERS {
-            let baseline = detector(kind, theta, None)
+            let baseline = detector(kind, theta, 1)
                 .run(&doc, &schema, "ITEM")
-                .expect("unsharded pipeline runs");
-            for shards in SHARD_COUNTS {
-                let sharded = detector(kind, theta, Some(shards))
+                .expect("sequential pipeline runs");
+            for threads in THREAD_COUNTS {
+                let parallel = detector(kind, theta, threads)
                     .run(&doc, &schema, "ITEM")
-                    .expect("sharded pipeline runs");
+                    .expect("threaded pipeline runs");
                 // Whole-result equality: candidates, ODs, filter values,
                 // duplicate pairs with f64-equal scores, possible pairs,
-                // clusters, and stats (pairs_compared included — the
-                // driver executes the same plan).
+                // clusters, and stats (pairs_compared included — every
+                // thread count executes the same plan).
                 prop_assert_eq!(
-                    &sharded, &baseline,
-                    "filter {:?} shards {} diverged", kind, shards
+                    &parallel, &baseline,
+                    "filter {:?} threads {} diverged", kind, threads
                 );
             }
         }
-    }
-
-    /// Partitioning is lossless and disjoint for any plan shape.
-    #[test]
-    fn partition_is_a_disjoint_cover(
-        pairs in proptest::collection::vec((0usize..40, 0usize..40), 0..60),
-        shards in 1usize..9,
-    ) {
-        let mut plan: Vec<(usize, usize)> = pairs
-            .into_iter()
-            .filter(|(i, j)| i != j)
-            .map(|(i, j)| (i.min(j), i.max(j)))
-            .collect();
-        plan.sort_unstable();
-        plan.dedup();
-        let parts = ShardedDriver::new(shards).partition(&plan);
-        prop_assert_eq!(parts.shards.len(), shards);
-        prop_assert_eq!(parts.total_pairs(), plan.len());
-        let mut covered: Vec<(usize, usize)> =
-            parts.shards.iter().flatten().copied().collect();
-        covered.extend(&parts.residual);
-        covered.sort_unstable();
-        let mut want = plan;
-        want.sort_unstable();
-        prop_assert_eq!(covered, want);
     }
 }
 
 // ---- directed cases ---------------------------------------------------
 
-/// The seeded CD corpus through the paper-default detector: sharded
-/// results must be bit-identical to unsharded at every shard count, and
-/// the shard partition must actually split the work at shards > 1.
+/// The seeded CD corpus through the paper-default detector: results
+/// must be bit-identical to `threads(1)` at every thread count. The
+/// corpus is large enough (80 candidates) that threads > 1 really split
+/// the pairs over workers.
 #[test]
 fn cd_corpus_sharded_matches_unsharded() {
     let (doc, _) = dataset1_sized(7, 40);
@@ -158,35 +130,30 @@ fn cd_corpus_sharded_matches_unsharded() {
             .theta_cand(setup::THETA_CAND)
     };
     let baseline = base_builder()
+        .threads(1)
         .build()
         .run(&doc, &schema, setup::CD_TYPE)
-        .expect("unsharded runs");
+        .expect("sequential run");
     assert!(
         !baseline.duplicate_pairs.is_empty(),
         "the seeded corpus must contain detectable duplicates"
     );
-    for shards in SHARD_COUNTS {
-        let sharded = base_builder()
-            .sharded(shards)
+    assert!(
+        baseline.stats.pairs_compared >= 2048,
+        "the corpus must be large enough for the worker split"
+    );
+    for threads in THREAD_COUNTS {
+        let parallel = base_builder()
+            .threads(threads)
             .build()
             .run(&doc, &schema, setup::CD_TYPE)
-            .expect("sharded runs");
-        assert_eq!(sharded, baseline, "shards={shards}");
+            .expect("threaded run");
+        assert_eq!(parallel, baseline, "threads={threads}");
     }
-    // The partition itself: multiple shards receive work, and the
-    // residual holds the cross-shard pairs.
-    let n = baseline.candidates.len();
-    let plan: Vec<(usize, usize)> = (0..n)
-        .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
-        .collect();
-    let parts = ShardedDriver::new(4).partition(&plan);
-    assert!(parts.shards.iter().filter(|s| !s.is_empty()).count() >= 2);
-    assert!(!parts.residual.is_empty());
-    assert_eq!(parts.total_pairs(), plan.len());
 }
 
-/// Sharding composes with the blocking filters on the CD corpus (the
-/// pair plan of each filter survives partitioning bit for bit).
+/// Thread counts compose with the blocking filters on the CD corpus:
+/// each filter's pair plan scores bit for bit the same at every count.
 #[test]
 fn cd_corpus_blocking_filters_shard_cleanly() {
     let (doc, _) = dataset1_sized(3, 25);
@@ -197,28 +164,26 @@ fn cd_corpus_blocking_filters_shard_cleanly() {
         ("topk", FilterKind::TopK),
         ("snm", FilterKind::SortedNeighborhood),
     ] {
-        let build = |shards: Option<usize>| {
-            let mut b = Dogmatix::builder()
+        let build = |threads: usize| {
+            let b = Dogmatix::builder()
                 .mapping(setup::cd_mapping())
                 .theta_tuple(setup::THETA_TUPLE)
-                .theta_cand(setup::THETA_CAND);
-            b = match filter {
+                .theta_cand(setup::THETA_CAND)
+                .threads(threads);
+            match filter {
                 FilterKind::QGram => b.filter(QGramBlocking::new(2, setup::THETA_TUPLE)),
                 FilterKind::Lsh => b.filter(MinHashLshBlocking::new(16, 2)),
                 FilterKind::TopK => b.filter(TopKBlocking::new(3)),
                 FilterKind::SortedNeighborhood => b.filter(SortedNeighborhoodFilter::new(4)),
                 _ => unreachable!(),
-            };
-            if let Some(s) = shards {
-                b = b.sharded(s);
             }
-            b.build()
-                .run(&doc, &schema, setup::CD_TYPE)
-                .expect("pipeline runs")
+            .build()
+            .run(&doc, &schema, setup::CD_TYPE)
+            .expect("pipeline runs")
         };
-        let baseline = build(None);
-        for shards in SHARD_COUNTS {
-            assert_eq!(build(Some(shards)), baseline, "{name} shards={shards}");
+        let baseline = build(1);
+        for threads in THREAD_COUNTS {
+            assert_eq!(build(threads), baseline, "{name} threads={threads}");
         }
     }
 }

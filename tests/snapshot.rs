@@ -3,7 +3,7 @@
 //!
 //! * **round trip** — build store → save → load → detection output
 //!   bit-identical to the in-memory build, on the seeded CD and movie
-//!   corpora, sequential and sharded;
+//!   corpora, sequential and threaded;
 //! * **robustness** — corrupted, truncated, and wrong-version snapshot
 //!   files are rejected with a `DogmatixError::Snapshot` and never
 //!   panic, for *every* byte position (flip) and prefix length
@@ -61,7 +61,7 @@ fn movie_corpus() -> Corpus {
     }
 }
 
-fn detector(c: &Corpus, backend: Option<SnapshotBackend>, shards: Option<usize>) -> Dogmatix {
+fn detector(c: &Corpus, backend: Option<SnapshotBackend>, threads: Option<usize>) -> Dogmatix {
     let mut b = Dogmatix::builder()
         .mapping(c.mapping.clone())
         .heuristic(c.heuristic.clone())
@@ -70,14 +70,14 @@ fn detector(c: &Corpus, backend: Option<SnapshotBackend>, shards: Option<usize>)
     if let Some(backend) = backend {
         b = b.index_backend(backend);
     }
-    if let Some(shards) = shards {
-        b = b.sharded(shards);
+    if let Some(threads) = threads {
+        b = b.threads(threads);
     }
     b.build()
 }
 
-fn run(c: &Corpus, backend: Option<SnapshotBackend>, shards: Option<usize>) -> DetectionResult {
-    detector(c, backend, shards)
+fn run(c: &Corpus, backend: Option<SnapshotBackend>, threads: Option<usize>) -> DetectionResult {
+    detector(c, backend, threads)
         .run(&c.doc, &c.schema, c.rw_type)
         .expect("detection runs")
 }
@@ -95,12 +95,12 @@ fn cd_and_movie_snapshot_roundtrips_are_bit_identical() {
             !in_memory.duplicate_pairs.is_empty(),
             "{tag}: corpus contains duplicates"
         );
-        // The snapshot path composes with sharded execution.
-        for shards in [1usize, 2, 8, 0] {
-            let sharded = run(&corpus, Some(SnapshotBackend::load(&path)), Some(shards));
+        // The snapshot path composes with threaded execution.
+        for threads in [1usize, 2, 8, 0] {
+            let threaded = run(&corpus, Some(SnapshotBackend::load(&path)), Some(threads));
             assert_eq!(
-                in_memory, sharded,
-                "{tag}: snapshot + {shards} shards diverged"
+                in_memory, threaded,
+                "{tag}: snapshot + {threads} threads diverged"
             );
         }
         let _ = std::fs::remove_file(&path);
