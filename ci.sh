@@ -42,6 +42,10 @@ echo "    its wall-clock must not exceed threads=1;"
 echo "    columnar comparison phase must not regress past the recorded baseline)"
 cargo bench -q -p dogmatix_bench --bench scaling >/dev/null
 
+echo "==> q-gram plan sanity (on CD n=2000 the blocking plan build must take"
+echo "    <= 0.5x the comparison over the plan it builds)"
+cargo bench -q -p dogmatix_bench --bench filter >/dev/null
+
 echo "==> probe bench sanity (mixed probe+ingest load; p99 gated against the"
 echo "    recorded baseline, candidate sets must stay sublinear in |Omega|)"
 cargo bench -q -p dogmatix_bench --bench probe >/dev/null

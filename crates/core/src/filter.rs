@@ -201,24 +201,33 @@ impl ComparisonFilter for NoFilter {
     }
 }
 
-/// Blocking by a positional q-gram inverted index over the object
-/// descriptions, pruned with the classic count filter — a *provable*
+/// Blocking by prefix-filtered positional q-grams over the object
+/// descriptions, verified with the classic count filter — a *provable*
 /// superset of edit-distance blocking.
 ///
 /// Two strings within Levenshtein distance `k` share at least
-/// `max(|a|,|b|) − q + 1 − k·q` positional q-grams whose positions differ
-/// by at most `k` (each edit destroys at most `q` windows and shifts the
-/// survivors by at most `k`). The filter inverts that bound: a pair of
-/// candidates is kept iff some comparable term pair either
+/// `τ = max(|a|,|b|) − q + 1 − k·q` positional q-grams whose positions
+/// differ by at most `k` (each edit destroys at most `q` windows and
+/// shifts the survivors by at most `k`). The filter inverts that bound:
+/// a pair of candidates is kept iff some comparable term pair either
 ///
 /// * is the identical term (`odtDist = 0`),
-/// * is too short for the bound to bite (`max_len − q + 1 − k·q ≤ 0`), or
-/// * shares at least the bound's worth of position-compatible q-grams,
+/// * is too short for the bound to bite (`τ ≤ 0`), or
+/// * shares at least `τ` position-compatible q-grams,
 ///
 /// so **every** pair of objects holding a tuple pair with
 /// `odtDist < theta` survives — the guarantee the property suite checks.
 /// Pairs sharing no similar tuple have `sim = 0` and can never classify
 /// as duplicates, hence pruning them is lossless.
+///
+/// Candidates for the count filter come from *prefix filtering*
+/// (Gravano et al., VLDB 2001; Xiao et al., WWW 2008): each term's grams
+/// become `(gram, occurrence)` elements, ordered globally by the gram's
+/// document frequency within the term's type (rarest first), then hash,
+/// then occurrence. Two terms sharing `τ` position-compatible grams share
+/// at least `τ` elements, so their prefixes of `|grams| − τ + 1` elements
+/// intersect; only those prefixes are indexed, and only terms meeting in
+/// a prefix are verified with the length and count filters.
 ///
 /// ```
 /// use dogmatix_core::filter::QGramBlocking;
@@ -278,13 +287,61 @@ impl QGramBlocking {
         max_len as i64 - self.q as i64 + 1 - (k * self.q) as i64
     }
 
+    /// Number of leading elements of a term's frequency-ordered element
+    /// list the prefix index must hold: `grams − τ + 1` for the smallest
+    /// positive count bound `τ` over every partner length the length
+    /// filter admits (vacuous-bound pairs come from the length-sorted
+    /// scan instead). The smallest bound is not always at partner length
+    /// `len` — `floor` makes `τ` non-monotone — hence the loop.
+    fn prefix_len(&self, len: usize, grams: usize) -> usize {
+        // Partners no longer than `len` share the pair bound τ(len). A
+        // longer partner `m` is admitted while `m − k(m) ≤ len`, which
+        // never decreases in `m`. Since τ(m) = (m − k(m)) − (q − 1)(k(m)
+        // + 1), no partner past `(q − 1)(k(m) + 1) ≥ len` has a positive
+        // bound; with q = 1, τ(m) = m − k(m) never falls below τ(len).
+        let longer = (len + 1..)
+            .take_while(|&m| {
+                let k = self.max_edits(m);
+                self.q > 1 && m.saturating_sub(k) <= len && (self.q - 1) * (k + 1) < len
+            })
+            .map(|m| self.count_bound(m));
+        std::iter::once(self.count_bound(len))
+            .chain(longer)
+            .filter(|&t| t > 0)
+            .min()
+            .map_or(0, |t| (grams + 1).saturating_sub(t as usize).min(grams))
+    }
+
+    /// The frequency-ordered `(gram, occurrence)` elements of one term:
+    /// `grams` sorted by (hash, position) in, `(df, hash, occurrence)`
+    /// keys sorted out. Grams the document-frequency map lacks (a probe
+    /// gram the snapshot never saw) get frequency 0.
+    fn elements_into(
+        df: &HashMap<(u32, u64), u32>,
+        type_id: u32,
+        grams: &[(u64, u32)],
+        out: &mut Vec<(u32, u64, u32)>,
+    ) {
+        out.clear();
+        let mut run = 0u32;
+        for (pos, &(g, _)) in grams.iter().enumerate() {
+            run = if pos > 0 && grams[pos - 1].0 == g {
+                run + 1
+            } else {
+                0
+            };
+            let freq = df.get(&(type_id, g)).copied().unwrap_or(0);
+            out.push((freq, g, run));
+        }
+        out.sort_unstable();
+    }
+
     /// The per-store q-gram columns the plan *and* the one-sided probe
     /// lookup share — one construction path, so probe candidate
     /// generation cannot drift from the batch plan's.
     fn columns(&self, ods: &OdSet) -> QGramColumns {
         let store = ods.store();
         let terms = store.term_count();
-        // Positional q-gram inverted index: (type, gram hash) → terms.
         // Gram hashes are emitted straight off the arena into a reused
         // buffer (`positional_qgram_hashes_into` — no per-gram `String`),
         // then sorted by (hash, position) once, so the per-pair count
@@ -297,14 +354,36 @@ impl QGramBlocking {
                 g
             })
             .collect();
-        let mut index: HashMap<(u32, u64), Vec<usize>> = HashMap::new();
-        for (idx, term_grams) in grams.iter().enumerate() {
-            let mut seen = BTreeSet::new();
-            for &(g, _) in term_grams {
-                if seen.insert(g) {
-                    index.entry((store.type_id(idx), g)).or_default().push(idx);
+        // Per-type document frequency of each gram: runs of equal hashes
+        // in the sorted grams count once per term.
+        let mut df: HashMap<(u32, u64), u32> = HashMap::new();
+        for (t, term_grams) in grams.iter().enumerate() {
+            for (pos, &(g, _)) in term_grams.iter().enumerate() {
+                if pos == 0 || term_grams[pos - 1].0 != g {
+                    *df.entry((store.type_id(t), g)).or_default() += 1;
                 }
             }
+        }
+        // Prefix index: each term's leading elements, as bucket ids.
+        let mut bucket_of: HashMap<(u32, u64, u32), u32> = HashMap::new();
+        let mut buckets: Vec<Vec<u32>> = Vec::new();
+        let mut prefix_starts = Vec::with_capacity(terms + 1);
+        let mut prefix_buckets = Vec::new();
+        let mut elements = Vec::new();
+        prefix_starts.push(0u32);
+        for (t, term_grams) in grams.iter().enumerate() {
+            let ty = store.type_id(t);
+            Self::elements_into(&df, ty, term_grams, &mut elements);
+            let p = self.prefix_len(store.char_len(t), term_grams.len());
+            for &(_, g, occ) in &elements[..p] {
+                let id = *bucket_of.entry((ty, g, occ)).or_insert_with(|| {
+                    buckets.push(Vec::new());
+                    (buckets.len() - 1) as u32
+                });
+                buckets[id as usize].push(t as u32);
+                prefix_buckets.push(id);
+            }
+            prefix_starts.push(prefix_buckets.len() as u32);
         }
         let mut by_type: HashMap<u32, Vec<usize>> = HashMap::new();
         for idx in 0..terms {
@@ -315,9 +394,28 @@ impl QGramBlocking {
         }
         QGramColumns {
             grams,
-            index,
+            df,
+            bucket_of,
+            buckets,
+            prefix_starts,
+            prefix_buckets,
             by_type,
         }
+    }
+
+    /// Whether two same-type terms (char lengths `la`, `lb`; grams
+    /// sorted by hash and position) survive the length and count
+    /// filters — the one verification the plan and the probe lookup
+    /// share.
+    fn verify(&self, la: usize, ga: &[(u64, u32)], lb: usize, gb: &[(u64, u32)]) -> bool {
+        let max_len = la.max(lb);
+        let k = self.max_edits(max_len);
+        if la.abs_diff(lb) > k {
+            return false; // length bound: distance ≥ |la − lb| > k
+        }
+        let bound = self.count_bound(max_len);
+        // count filter: below the bound the pair is provably dissimilar
+        bound <= 0 || positional_matches(ga, gb, k) >= bound
     }
 
     /// The comparison plan for an OD set (exposed for diagnostics, the
@@ -326,60 +424,71 @@ impl QGramBlocking {
         let n = ods.len();
         let store = ods.store();
         let terms = store.term_count();
-        let mut pairs: BTreeSet<(usize, usize)> = BTreeSet::new();
-
-        if self.theta > 0.0 {
-            // Identical terms are always similar (odtDist = 0): every
-            // pair of objects sharing a term survives.
-            for t in 0..terms {
-                cross_postings(store.postings(t), store.postings(t), &mut pairs);
-            }
-        }
-
-        // Candidate *term* pairs that could still be within the
-        // threshold: (a) pairs the count bound cannot prune, found by a
-        // length-sorted scan per type; (b) pairs sharing at least one
-        // q-gram, found through the inverted index.
         let cols = self.columns(ods);
-        let mut term_pairs: BTreeSet<(usize, usize)> = BTreeSet::new();
+        // Verified similar-term partners, symmetric.
+        let mut partners: Vec<Vec<u32>> = vec![Vec::new(); terms];
 
-        for group in cols.by_type.values() {
-            for (pos, &b) in group.iter().enumerate() {
-                // `b` is the longer side of every pair with an earlier
-                // term, so the pair's count bound depends only on `b`.
-                if self.theta > 0.0 && self.count_bound(store.char_len(b)) <= 0 {
+        // (a) Pairs the count bound cannot prune, found by a
+        // length-sorted scan per type: `b` is the longer side of every
+        // pair with an earlier term, so the pair's bound depends only
+        // on `b`.
+        if self.theta > 0.0 {
+            for group in cols.by_type.values() {
+                for (pos, &b) in group.iter().enumerate() {
+                    let lb = store.char_len(b);
+                    if self.count_bound(lb) > 0 {
+                        continue;
+                    }
                     for &a in &group[..pos] {
-                        term_pairs.insert((a.min(b), a.max(b)));
+                        if store.char_len(a).abs_diff(lb) <= self.max_edits(lb) {
+                            partners[a].push(b as u32);
+                            partners[b].push(a as u32);
+                        }
                     }
                 }
             }
         }
 
-        for bucket in cols.index.values() {
-            for (pos, &a) in bucket.iter().enumerate() {
-                for &b in &bucket[pos + 1..] {
-                    term_pairs.insert((a.min(b), a.max(b)));
+        // (b) Pairs with a positive bound (vacuous ones are (a)'s):
+        // candidates meet in a prefix bucket (stamp-deduplicated, each
+        // pair once from its lower term), then the count filter
+        // verifies them.
+        let mut stamp = vec![u32::MAX; terms];
+        for a in 0..terms {
+            let la = store.char_len(a);
+            for &id in cols.prefix(a) {
+                for &b in &cols.buckets[id as usize] {
+                    let bi = b as usize;
+                    if bi <= a || stamp[bi] == a as u32 {
+                        continue;
+                    }
+                    stamp[bi] = a as u32;
+                    let lb = store.char_len(bi);
+                    if self.count_bound(la.max(lb)) > 0
+                        && self.verify(la, &cols.grams[a], lb, &cols.grams[bi])
+                    {
+                        partners[a].push(b);
+                        partners[bi].push(a as u32);
+                    }
                 }
             }
         }
 
-        // Verify each candidate term pair against the provable bounds.
-        for &(a, b) in &term_pairs {
-            let (la, lb) = (store.char_len(a), store.char_len(b));
-            let max_len = la.max(lb);
-            let k = self.max_edits(max_len);
-            if la.abs_diff(lb) > k {
-                continue; // length bound: distance ≥ |la − lb| > k
-            }
-            let bound = self.count_bound(max_len);
-            if bound > 0 && positional_matches(&cols.grams[a], &cols.grams[b], k) < bound {
-                continue; // count filter: provably above the threshold
-            }
-            cross_postings(store.postings(a), store.postings(b), &mut pairs);
-        }
-
+        // Object `i` pairs with every later object holding one of its
+        // terms (identical terms are always similar, odtDist = 0) or a
+        // verified partner of one.
+        let (partners, same) = (&partners, self.theta > 0.0);
+        let pairs = pairs_by_row(n, move |i| {
+            ods.tuple_terms(i).iter().flat_map(move |term| {
+                let t = term.index();
+                let own = same.then_some(t);
+                own.into_iter()
+                    .chain(partners[t].iter().map(|&u| u as usize))
+                    .map(move |u| store.postings(u))
+            })
+        });
         ComparisonPlan {
-            pairs: pairs.into_iter().collect(),
+            pairs,
             total_pairs: n * n.saturating_sub(1) / 2,
         }
     }
@@ -390,10 +499,26 @@ impl QGramBlocking {
 struct QGramColumns {
     /// Per-term (gram hash, position) pairs, sorted.
     grams: Vec<Vec<(u64, u32)>>,
-    /// (type id, gram hash) → term indices holding the gram.
-    index: HashMap<(u32, u64), Vec<usize>>,
+    /// (type id, gram hash) → number of the type's terms holding the
+    /// gram: the primary key of the global element order.
+    df: HashMap<(u32, u64), u32>,
+    /// (type id, gram hash, occurrence) → prefix bucket id.
+    bucket_of: HashMap<(u32, u64, u32), u32>,
+    /// Per bucket: the terms whose prefix holds the element, ascending.
+    buckets: Vec<Vec<u32>>,
+    /// CSR offsets of each term's prefix in `prefix_buckets`.
+    prefix_starts: Vec<u32>,
+    /// Bucket ids of every term's prefix elements.
+    prefix_buckets: Vec<u32>,
     /// Term indices per type id, sorted by (char length, index).
     by_type: HashMap<u32, Vec<usize>>,
+}
+
+impl QGramColumns {
+    /// Bucket ids of term `t`'s prefix elements.
+    fn prefix(&self, t: usize) -> &[u32] {
+        &self.prefix_buckets[self.prefix_starts[t] as usize..self.prefix_starts[t + 1] as usize]
+    }
 }
 
 impl ComparisonFilter for QGramBlocking {
@@ -405,16 +530,32 @@ impl ComparisonFilter for QGramBlocking {
     }
 }
 
-/// Inserts every cross pair of two posting lists (distinct objects,
-/// normalised to `i < j`).
-fn cross_postings(a: &[u32], b: &[u32], out: &mut BTreeSet<(usize, usize)>) {
-    for &i in a {
-        for &j in b {
-            if i != j {
-                out.insert((i.min(j) as usize, i.max(j) as usize));
+/// Sorted, deduplicated object pairs `(i, j)`, `i < j`, built row by
+/// row: row `i` holds every `j > i` in the ascending object lists
+/// `lists(i)` yields. A stamp array deduplicates within the row, so a
+/// pair reached through many lists is never stored twice.
+fn pairs_by_row<'a, I>(n: usize, mut lists: impl FnMut(usize) -> I) -> Vec<(usize, usize)>
+where
+    I: Iterator<Item = &'a [u32]>,
+{
+    let mut seen = vec![u32::MAX; n];
+    let mut row: Vec<usize> = Vec::new();
+    let mut pairs = Vec::new();
+    for i in 0..n {
+        row.clear();
+        for list in lists(i) {
+            let later = list.partition_point(|&j| j as usize <= i);
+            for &j in &list[later..] {
+                if seen[j as usize] != i as u32 {
+                    seen[j as usize] = i as u32;
+                    row.push(j as usize);
+                }
             }
         }
+        row.sort_unstable();
+        pairs.extend(row.iter().map(|&j| (i, j)));
     }
+    pairs
 }
 
 /// Maximum number of q-grams of `a` matchable to equal grams of `b` at a
@@ -515,16 +656,17 @@ impl MinHashLshBlocking {
     pub fn plan(&self, ods: &OdSet) -> ComparisonPlan {
         let n = ods.len();
         let index = LshBucketIndex::new(*self, ods);
-        let mut pairs: BTreeSet<(usize, usize)> = BTreeSet::new();
+        // Object `i` pairs with every later object sharing a band
+        // bucket with it.
+        let mut member_of: Vec<Vec<&[u32]>> = vec![Vec::new(); n];
         for bucket in index.buckets.values() {
-            for (pos, &i) in bucket.iter().enumerate() {
-                for &j in &bucket[pos + 1..] {
-                    pairs.insert((i.min(j), i.max(j)));
-                }
+            for &i in bucket {
+                member_of[i as usize].push(bucket);
             }
         }
+        let pairs = pairs_by_row(n, |i| member_of[i].iter().copied());
         ComparisonPlan {
-            pairs: pairs.into_iter().collect(),
+            pairs,
             total_pairs: n * n.saturating_sub(1) / 2,
         }
     }
@@ -548,8 +690,10 @@ impl ComparisonFilter for MinHashLshBlocking {
 pub struct LookupScratch {
     /// Probe-term (gram hash, position) pairs, sorted.
     grams: Vec<(u64, u32)>,
+    /// Probe-term `(df, gram hash, occurrence)` elements, sorted.
+    elements: Vec<(u32, u64, u32)>,
     /// Candidate term indices awaiting bound verification.
-    term_hits: BTreeSet<usize>,
+    term_hits: Vec<usize>,
     /// MinHash signature slots.
     signature: Vec<u64>,
     /// LSH band bucket keys.
@@ -564,7 +708,7 @@ impl LookupScratch {
 }
 
 /// One-sided q-gram candidate lookup for single-record probes
-/// ([`crate::probe`]): the same inverted index and provable bounds as
+/// ([`crate::probe`]): the same prefix index and provable bounds as
 /// [`QGramBlocking::plan`], queried with an un-interned probe term
 /// instead of a second stored term.
 ///
@@ -573,8 +717,11 @@ impl LookupScratch {
 /// verification the batch plan applies, so for a probe record appended
 /// to the store the candidate set equals exactly the batch plan's pairs
 /// involving that record — the guarantee `tests/server.rs` pins
-/// differentially. Construction shares `QGramBlocking::columns` with
-/// the batch plan, so the two paths cannot drift.
+/// differentially. Prefix filtering is complete under *any* global
+/// element order both sides share, so the probe orders its elements by
+/// the snapshot's document frequencies. Construction shares
+/// `QGramBlocking::columns` with the batch plan, so the two paths
+/// cannot drift.
 #[derive(Debug)]
 pub struct QGramTermIndex {
     blocking: QGramBlocking,
@@ -663,36 +810,38 @@ impl QGramTermIndex {
             );
         }
 
-        // Clause (b): terms sharing at least one q-gram. The grams are
-        // sorted, so consecutive-duplicate skipping dedups bucket hits.
-        let mut last = None;
-        for &(g, _) in scratch.grams.iter() {
-            if last == Some(g) {
-                continue;
-            }
-            last = Some(g);
-            if let Some(bucket) = self.cols.index.get(&(type_id, g)) {
-                scratch.term_hits.extend(bucket.iter().copied());
+        // Clause (b): terms meeting the probe term in a prefix bucket,
+        // under the snapshot's element order (grams it never saw get
+        // frequency 0, so batch and probe share one global order).
+        QGramBlocking::elements_into(
+            &self.cols.df,
+            type_id,
+            &scratch.grams,
+            &mut scratch.elements,
+        );
+        let p = self.blocking.prefix_len(len, scratch.grams.len());
+        for &(_, g, occ) in &scratch.elements[..p] {
+            if let Some(&id) = self.cols.bucket_of.get(&(type_id, g, occ)) {
+                scratch
+                    .term_hits
+                    .extend(self.cols.buckets[id as usize].iter().map(|&t| t as usize));
             }
         }
+        scratch.term_hits.sort_unstable();
+        scratch.term_hits.dedup();
 
         // Verification: bit-identical bounds to the batch plan. A
-        // stored term equal to the probe term shares all grams (or a
-        // vacuous bound) and always survives — covering the plan's
+        // stored term equal to the probe term shares its whole prefix
+        // (or a vacuous bound) and always survives — covering the plan's
         // identical-term clause, where the appended record would join
         // that term's postings.
         for &t in &scratch.term_hits {
-            let lt = store.char_len(t);
-            let max_len = len.max(lt);
-            let k = self.blocking.max_edits(max_len);
-            if len.abs_diff(lt) > k {
-                continue;
+            if self
+                .blocking
+                .verify(len, &scratch.grams, store.char_len(t), &self.cols.grams[t])
+            {
+                out.extend(store.postings(t).iter().map(|&o| o as usize));
             }
-            let bound = self.blocking.count_bound(max_len);
-            if bound > 0 && positional_matches(&scratch.grams, &self.cols.grams[t], k) < bound {
-                continue;
-            }
-            out.extend(store.postings(t).iter().map(|&o| o as usize));
         }
     }
 }
@@ -707,7 +856,8 @@ impl QGramTermIndex {
 #[derive(Debug)]
 pub struct LshBucketIndex {
     blocking: MinHashLshBlocking,
-    buckets: HashMap<(usize, u64), Vec<usize>>,
+    /// (band, key) → ascending ids of the objects in that band bucket.
+    buckets: HashMap<(usize, u64), Vec<u32>>,
 }
 
 impl LshBucketIndex {
@@ -716,7 +866,7 @@ impl LshBucketIndex {
     pub fn new(blocking: MinHashLshBlocking, ods: &OdSet) -> Self {
         let store = ods.store();
         let hashes = blocking.bands * blocking.rows;
-        let mut buckets: HashMap<(usize, u64), Vec<usize>> = HashMap::new();
+        let mut buckets: HashMap<(usize, u64), Vec<u32>> = HashMap::new();
         let mut scratch: Vec<u64> = Vec::new();
         for i in 0..ods.len() {
             let mut tokens: BTreeSet<u64> = BTreeSet::new();
@@ -736,7 +886,7 @@ impl LshBucketIndex {
                 .into_iter()
                 .enumerate()
             {
-                buckets.entry((band, key)).or_default().push(i);
+                buckets.entry((band, key)).or_default().push(i as u32);
             }
         }
         LshBucketIndex { blocking, buckets }
@@ -776,7 +926,7 @@ impl LshBucketIndex {
         );
         for (band, &key) in scratch.keys.iter().enumerate() {
             if let Some(bucket) = self.buckets.get(&(band, key)) {
-                out.extend(bucket.iter().copied());
+                out.extend(bucket.iter().map(|&o| o as usize));
             }
         }
     }
@@ -1096,17 +1246,190 @@ mod tests {
            <m><t>Midnigth Journey</t><a>Zz</a></m>\
          </r>";
 
+    /// The grid the q-gram differential tests sweep: every `q` the bound
+    /// treats differently, and thresholds up to θ·q ≥ 1 (every bound
+    /// vacuous).
+    const QGRAM_QS: [usize; 4] = [1, 2, 3, 4];
+    const QGRAM_THETAS: [f64; 6] = [0.0, 0.05, 0.15, 0.3, 0.5, 1.0];
+
+    /// `(t, a)` records for the q-gram differential tests: repeated
+    /// grams, multi-byte chars, terms shorter than `q`, and identical
+    /// terms shared by many objects.
+    const QGRAM_CORPORA: [&[(&str, &str)]; 4] = [
+        &[
+            ("aaaa", "abab"),
+            ("aaa", "ababab"),
+            ("aaaaa", "baba"),
+            ("aaab", "abba"),
+            ("abab", "aaaa"),
+            ("aaaaaaaaaa", "abababab"),
+            ("aaaaaaaaab", "abababba"),
+        ],
+        &[
+            ("café crème", "naïve"),
+            ("cafe creme", "naive"),
+            ("café crèm", "naïf"),
+            ("日本語", "東京都"),
+            ("日本", "東京"),
+            ("ωmega ωmega", "ü"),
+            ("ωmegα ωmega", "u"),
+        ],
+        &[
+            ("a", "x"),
+            ("b", "xy"),
+            ("ab", "xyz"),
+            ("ba", "x"),
+            ("abc", "yx"),
+            ("abcd", "z"),
+            ("q", "zz"),
+        ],
+        &[
+            ("rock", "alice"),
+            ("rock", "alice"),
+            ("rock", "bob"),
+            ("rock", "alice"),
+            ("rocks", "bobby"),
+            ("pop", "alice"),
+            ("rock", "carol"),
+            ("pop", "carol"),
+        ],
+    ];
+
+    fn records_xml(records: &[(&str, &str)]) -> String {
+        let body: String = records
+            .iter()
+            .map(|(t, a)| format!("<m><t>{t}</t><a>{a}</a></m>"))
+            .collect();
+        format!("<r>{body}</r>")
+    }
+
+    /// A larger corpus of typo variants of a few base strings over a
+    /// tiny alphabet (deterministic LCG): many shared and repeated
+    /// grams, and real near-duplicates at every length.
+    fn typo_records() -> Vec<(String, String)> {
+        let bases = [
+            "abcabcabcab",
+            "aabbaabbaabbaabb",
+            "cabbage patch",
+            "bcabca",
+            "ab",
+        ];
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |m: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) as usize) % m
+        };
+        let mut variant = || {
+            let mut chars: Vec<char> = bases[next(bases.len())].chars().collect();
+            for _ in 0..next(3) {
+                let pos = next(chars.len() + 1);
+                let c = ['a', 'b', 'c'][next(3)];
+                match next(3) {
+                    0 if pos < chars.len() => drop(chars.remove(pos)),
+                    1 => chars.insert(pos, c),
+                    _ if pos < chars.len() => chars[pos] = c,
+                    _ => {}
+                }
+            }
+            chars.into_iter().collect::<String>()
+        };
+        (0..40).map(|_| (variant(), variant())).collect()
+    }
+
+    /// Every corpus of the differential grid, as `(t, a)` records.
+    fn qgram_corpora() -> Vec<Vec<(String, String)>> {
+        let mut corpora: Vec<Vec<(String, String)>> = QGRAM_CORPORA
+            .iter()
+            .map(|c| {
+                c.iter()
+                    .map(|(t, a)| (t.to_string(), a.to_string()))
+                    .collect()
+            })
+            .collect();
+        corpora.push(typo_records());
+        corpora
+    }
+
+    fn build_records(records: &[(String, String)]) -> OdSet {
+        let borrowed: Vec<(&str, &str)> = records
+            .iter()
+            .map(|(t, a)| (t.as_str(), a.as_str()))
+            .collect();
+        build(&records_xml(&borrowed), "/r/m", &["/r/m/t", "/r/m/a"])
+    }
+
+    /// The reference plan: every same-type term pair through the same
+    /// length and count checks, postings crossed — no index, no prefix.
+    /// A vacuous bound admits a pair only through the θ > 0 scan (at
+    /// θ = 0 such pairs are shorter than `q` and share no gram).
+    fn reference_plan(blocking: QGramBlocking, ods: &OdSet) -> Vec<(usize, usize)> {
+        let store = ods.store();
+        let terms = store.term_count();
+        let grams: Vec<Vec<(u64, u32)>> = (0..terms)
+            .map(|t| {
+                let mut g = Vec::new();
+                positional_qgram_hashes_into(store.norm(t), blocking.q, &mut g);
+                g.sort_unstable();
+                g
+            })
+            .collect();
+        let mut pairs: BTreeSet<(usize, usize)> = BTreeSet::new();
+        let mut cross = |a: usize, b: usize| {
+            for &i in store.postings(a) {
+                for &j in store.postings(b) {
+                    if i != j {
+                        pairs.insert((i.min(j) as usize, i.max(j) as usize));
+                    }
+                }
+            }
+        };
+        for a in 0..terms {
+            if blocking.theta > 0.0 {
+                cross(a, a);
+            }
+            for b in a + 1..terms {
+                let (la, lb) = (store.char_len(a), store.char_len(b));
+                if store.type_id(a) == store.type_id(b)
+                    && (blocking.count_bound(la.max(lb)) > 0 || blocking.theta > 0.0)
+                    && blocking.verify(la, &grams[a], lb, &grams[b])
+                {
+                    cross(a, b);
+                }
+            }
+        }
+        pairs.into_iter().collect()
+    }
+
     #[test]
-    fn one_sided_qgram_lookup_matches_extended_plan() {
-        let sel = &["/r/m/t", "/r/m/a"];
-        let base = std::sync::Arc::new(build(LOOKUP_BASE, "/r/m", sel));
-        let ext = build(LOOKUP_EXT, "/r/m", sel);
+    fn qgram_plan_matches_brute_force_reference() {
+        for (c, records) in qgram_corpora().iter().enumerate() {
+            let ods = build_records(records);
+            for q in QGRAM_QS {
+                for theta in QGRAM_THETAS {
+                    let blocking = QGramBlocking::new(q, theta);
+                    assert_eq!(
+                        blocking.plan(&ods).pairs,
+                        reference_plan(blocking, &ods),
+                        "corpus {c} q={q} theta={theta}: prefix-filtered plan diverged"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Asserts that probing `base` with the last record of `ext` (the
+    /// same corpus with that record appended) yields exactly the
+    /// extended plan's pairs involving the record.
+    fn assert_lookup_matches_extended(base: OdSet, ext: &OdSet, label: &str) {
+        let base = std::sync::Arc::new(base);
         let n = base.len();
-        for theta in [0.0, 0.05, 0.15, 0.3, 0.6] {
-            for q in [2usize, 3] {
+        for q in QGRAM_QS {
+            for theta in QGRAM_THETAS {
                 let blocking = QGramBlocking::new(q, theta);
                 let expected: BTreeSet<usize> = blocking
-                    .plan(&ext)
+                    .plan(ext)
                     .pairs
                     .iter()
                     .filter(|&&(_, j)| j == n)
@@ -1125,7 +1448,32 @@ mod tests {
                 }
                 assert_eq!(
                     got, expected,
-                    "q={q} theta={theta}: one-sided lookup diverged from the extended plan"
+                    "{label} q={q} theta={theta}: one-sided lookup diverged from the extended plan"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn one_sided_qgram_lookup_matches_extended_plan() {
+        let sel = &["/r/m/t", "/r/m/a"];
+        assert_lookup_matches_extended(
+            build(LOOKUP_BASE, "/r/m", sel),
+            &build(LOOKUP_EXT, "/r/m", sel),
+            "lookup corpus",
+        );
+        // Every grid corpus, probed with each of its records appended
+        // again (an identical record) and with a gram-novel record.
+        for (c, records) in qgram_corpora().iter().enumerate() {
+            let base = build_records(records);
+            let novel = ("zzzq ωω".to_string(), "aaaaaaaa".to_string());
+            for probe in records.iter().take(4).chain([&novel]) {
+                let mut extended = records.clone();
+                extended.push(probe.clone());
+                assert_lookup_matches_extended(
+                    base.clone(),
+                    &build_records(&extended),
+                    &format!("corpus {c} probe {probe:?}"),
                 );
             }
         }

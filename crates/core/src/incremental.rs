@@ -857,8 +857,11 @@ pub(crate) fn detect_incremental(
     // filter and comparison stages index into it.
     crate::store::audit::audit_gate(&ods, "incremental OD re-interning");
 
-    // Step 4 is global and cheap (≈ one sim evaluation per object):
-    // always re-run it so pruning and pair plans track the new state.
+    // Step 4 is global: always re-run it so pruning and pair plans
+    // track the new state. The object filter costs about one sim
+    // evaluation per object, but a blocking filter rebuilds its whole
+    // pair plan on every delta — the dominant per-delta cost until
+    // inserts and removes go incremental (ROADMAP item 2).
     let FilterDecision {
         f_values,
         pruned,

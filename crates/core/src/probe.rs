@@ -88,7 +88,7 @@ impl Default for ProbeBlocking {
 /// The built per-snapshot lookup structure behind [`ProbeBlocking`].
 #[derive(Debug)]
 enum ProbeIndex {
-    QGram(QGramTermIndex),
+    QGram(Box<QGramTermIndex>),
     Lsh(LshBucketIndex),
     Exhaustive,
 }
@@ -205,7 +205,7 @@ impl ProbeSnapshot {
         blocking: ProbeBlocking,
     ) -> Self {
         let index = match blocking {
-            ProbeBlocking::QGram(b) => ProbeIndex::QGram(QGramTermIndex::new(b, &ods)),
+            ProbeBlocking::QGram(b) => ProbeIndex::QGram(Box::new(QGramTermIndex::new(b, &ods))),
             ProbeBlocking::Lsh(b) => ProbeIndex::Lsh(LshBucketIndex::new(b, &ods)),
             ProbeBlocking::Exhaustive => ProbeIndex::Exhaustive,
         };
