@@ -56,9 +56,9 @@ echo "    stay within the recorded throughput baseline)"
 cargo bench -q -p dogmatix_bench --bench wal >/dev/null
 test -s BENCH_wal.json || { echo "BENCH_wal.json was not written"; exit 1; }
 
-echo "==> paged-snapshot scaling gate (a v2 snapshot several times the pool"
-echo "    budget must load bit-identically with peak residency <= budget, and"
-echo "    budgeted point reads must stay within the recorded baseline)"
+echo "==> budgeted snapshot gate (a snapshot several times the pool budget must"
+echo "    load bit-identically through --mem-budget's pool with peak residency"
+echo "    <= budget, and budgeted point reads must stay within the recorded baseline)"
 cargo bench -q -p dogmatix_bench --bench paged >/dev/null
 test -s BENCH_paged.json || { echo "BENCH_paged.json was not written"; exit 1; }
 
@@ -100,8 +100,8 @@ smoke_expect 'SHUTDOWN' 'OK bye'
 exec 3<&- 3>&-
 wait "$server_pid"
 
-echo "==> dogmatixd crash-recover smoke (kill -9 mid-ingest, restart --recover,"
-echo "    pre-kill ingest must answer probes)"
+echo "==> dogmatixd crash-recover smoke (INDEX-SAVE export, kill -9 mid-ingest,"
+echo "    restart --recover, pre-kill ingest must answer probes)"
 ./target/release/dogmatixd "$smoke_dir/movies.xml" "$smoke_dir/mapping.txt" MOVIE \
     --addr 127.0.0.1:0 --wal "$smoke_dir/movies.wal" > "$smoke_dir/boot2.log" &
 server_pid=$!
@@ -112,6 +112,7 @@ done
 addr="$(sed -n 's/^dogmatixd listening on //p' "$smoke_dir/boot2.log")"
 [ -n "$addr" ] || { echo "durable dogmatixd never reported its address"; kill "$server_pid"; exit 1; }
 exec 3<>"/dev/tcp/${addr%:*}/${addr##*:}"
+smoke_expect "INDEX-SAVE $smoke_dir/movies.dxts" 'OK index-save bytes='
 smoke_expect 'INGEST insert /moviedoc <movie><title>The Maatrix</title><year>1999</year></movie>' 'OK ingested seq=2'
 exec 3<&- 3>&-
 # The crash: no shutdown, no drain — the acked delta must already be durable.
@@ -138,6 +139,17 @@ smoke_expect 'CHECKPOINT' 'OK checkpoint lsn='
 smoke_expect 'SHUTDOWN' 'OK bye'
 exec 3<&- 3>&-
 wait "$server_pid"
+
+echo "==> server-exported index loads in the CLI under a memory budget"
+./target/release/dogmatix "$smoke_dir/movies.xml" --mapping "$smoke_dir/mapping.txt" \
+    --type MOVIE --output "$smoke_dir/plain.xml" 2>/dev/null
+./target/release/dogmatix "$smoke_dir/movies.xml" --mapping "$smoke_dir/mapping.txt" \
+    --type MOVIE --index-load "$smoke_dir/movies.dxts" --mem-budget 8192 \
+    --output "$smoke_dir/warm.xml" 2>/dev/null
+grep -q '<dupcluster' "$smoke_dir/plain.xml" \
+    || { echo "plain run found no duplicates"; exit 1; }
+cmp -s "$smoke_dir/plain.xml" "$smoke_dir/warm.xml" \
+    || { echo "INDEX-SAVE export loaded via --index-load diverged from a plain run"; exit 1; }
 rm -rf "$smoke_dir"
 
 echo "==> cargo clippy --all-targets -- -D warnings"

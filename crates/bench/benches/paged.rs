@@ -5,7 +5,7 @@
 //! CD corpus whose v2 snapshot is several times larger than the pool
 //! budget, then
 //!
-//! * asserts the budget-constrained [`PagedBackend`] warm start is
+//! * asserts the budget-constrained [`SnapshotBackend`] warm start is
 //!   **bit-identical** to the in-memory build (at auto AND 2 threads),
 //! * asserts the pool's peak residency never exceeded the budget while
 //!   evictions actually happened (the run provably worked out-of-core),
@@ -22,7 +22,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dogmatix_bench::CdFixture;
-use dogmatix_core::backend::paged::{PagedBackend, PagedReader};
+use dogmatix_core::backend::paged::PagedReader;
+use dogmatix_core::backend::SnapshotBackend;
 use dogmatix_core::heuristics::HeuristicExpr;
 use dogmatix_core::pipeline::{DetectionResult, Dogmatix};
 use std::path::PathBuf;
@@ -41,7 +42,11 @@ fn scratch_snapshot(tag: &str) -> PathBuf {
     dir.join(format!("{tag}.dxts2"))
 }
 
-fn detector(fixture: &CdFixture, backend: Option<Arc<PagedBackend>>, threads: usize) -> Dogmatix {
+fn detector(
+    fixture: &CdFixture,
+    backend: Option<Arc<SnapshotBackend>>,
+    threads: usize,
+) -> Dogmatix {
     let mut b = Dogmatix::builder()
         .mapping(fixture.mapping.clone())
         .heuristic(HeuristicExpr::k_closest_descendants(6))
@@ -54,7 +59,11 @@ fn detector(fixture: &CdFixture, backend: Option<Arc<PagedBackend>>, threads: us
     b.build()
 }
 
-fn run(fixture: &CdFixture, backend: Option<Arc<PagedBackend>>, threads: usize) -> DetectionResult {
+fn run(
+    fixture: &CdFixture,
+    backend: Option<Arc<SnapshotBackend>>,
+    threads: usize,
+) -> DetectionResult {
     detector(fixture, backend, threads)
         .run(&fixture.doc, &fixture.schema, dogmatix_eval::setup::CD_TYPE)
         .expect("detection runs")
@@ -82,7 +91,7 @@ fn scaling_sanity() {
         "corpus contains duplicates"
     );
 
-    let save_backend = Arc::new(PagedBackend::save(&path, BUDGET).with_page_size(PAGE_SIZE));
+    let save_backend = Arc::new(SnapshotBackend::save(&path).with_page_size(PAGE_SIZE));
     let saved = run(&fixture, Some(save_backend), 0);
     assert_eq!(reference, saved, "paged save run diverged");
     let snapshot_bytes = std::fs::metadata(&path).expect("snapshot written").len() as usize;
@@ -96,7 +105,7 @@ fn scaling_sanity() {
     // bit-identical to the in-memory build with the pool under budget.
     let mut load_millis = 0.0;
     for threads in [0usize, 2] {
-        let backend = Arc::new(PagedBackend::open(&path, BUDGET));
+        let backend = Arc::new(SnapshotBackend::load(&path).with_budget(BUDGET));
         let started = Instant::now();
         let warm = run(&fixture, Some(backend.clone()), threads);
         if threads == 0 {
@@ -187,7 +196,7 @@ fn bench_paged(c: &mut Criterion) {
 
     let fixture = CdFixture::dataset1(CORPUS_N);
     let path = scratch_snapshot("criterion");
-    let save_backend = Arc::new(PagedBackend::save(&path, BUDGET).with_page_size(PAGE_SIZE));
+    let save_backend = Arc::new(SnapshotBackend::save(&path).with_page_size(PAGE_SIZE));
     run(&fixture, Some(save_backend), 0);
     let snapshot_bytes = std::fs::metadata(&path).expect("snapshot written").len() as usize;
 

@@ -1,13 +1,9 @@
-//! The paged (version-2) DXTS snapshot format and its out-of-core
-//! reader, [`PagedBackend`].
+//! The DXTS snapshot format (version 2) and its readers.
 //!
-//! The flat v1 format (see the [parent module](super)) is one
-//! checksummed payload that must be deserialised whole — memory is
-//! bounded below by the file size. v2 splits every store column into
-//! **fixed-size pages** behind a page directory, so a reader can fault
-//! in exactly the pages it touches through a
-//! [`BufferPool`] and keep at most a
-//! configured budget of them resident:
+//! Every store column is split into **fixed-size pages** behind a page
+//! directory, so a reader can fault in exactly the pages it touches
+//! through a [`BufferPool`] and keep at most a configured budget of
+//! them resident:
 //!
 //! ```text
 //! offset  field
@@ -33,55 +29,59 @@
 //! the header table, verified at fault-in time — a byte flip anywhere
 //! in the file is caught either by the header checksum or by the
 //! checksum of the page it lands in, before any decoded value is
-//! trusted.
+//! trusted. All integers go through the crate's shared little-endian codec.
 //!
-//! The 19 sections mirror the v1 payload exactly: a 20-byte meta
-//! section (object count + selection/document fingerprints), then the
-//! store columns (arena bytes, term spans/types/char-lens/IDF bits,
-//! CSR posting starts + postings, type/path name spans, per-type
-//! stats) and the OD columns (od starts, tuple term/value/path, group
-//! starts/types/members). Loading ends in the same fingerprint checks
-//! and full [`StoreAuditor`](crate::store::audit::StoreAuditor) pass as
-//! v1 — the access path changed, the invariants did not.
+//! The 19 sections are a 20-byte meta section (object count +
+//! selection/document fingerprints), then the store columns (arena
+//! bytes, term spans/types/char-lens/IDF bits, CSR posting starts +
+//! postings, type/path name spans, per-type stats) and the OD columns
+//! (od starts, tuple term/value/path, group starts/types/members).
+//! Loading checks both fingerprints, then runs the full
+//! [`StoreAuditor`] pass over the decoded columns.
+//!
+//! Version 1 — the retired flat format, one checksummed payload — is
+//! rejected with a [`DogmatixError::Snapshot`] that says to re-save.
 //!
 //! Two readers are built on the pool:
 //!
-//! * [`PagedBackend`] — the [`TermIndexBackend`] implementation.
-//!   Loading streams each section through the pool page by page (one
-//!   pin at a time), so **peak pool residency stays under the budget
-//!   regardless of snapshot size** (the `benches/paged.rs` gate holds
-//!   [`PoolStats::peak_resident_bytes`] under a budget smaller than the
-//!   file).
+//! * [`SnapshotBackend`](super::SnapshotBackend) decodes whole
+//!   snapshots. Under a budget it streams each section through the
+//!   pool page by page (one pin at a time), so **peak pool residency
+//!   stays under the budget regardless of snapshot size** (the
+//!   `benches/paged.rs` gate holds [`PoolStats::peak_resident_bytes`]
+//!   under a budget smaller than the file). WAL checkpoints embed the
+//!   same image and decode it from memory.
 //! * [`PagedReader`] — random point access (term text, posting lists)
 //!   that pins only the directory-addressed pages a lookup touches;
 //!   with a small budget the pool visibly evicts and refaults.
 
-use super::{
-    atomic_write, checked_u32, checksum, doc_fingerprint, snap_err, IndexContext, RawColumns,
-    SnapshotMode, TermIndexBackend, MAGIC, MAX_ARRAY_LEN, SNAPSHOT_VERSION,
-};
+use super::{checked_u32, snap_err, SNAPSHOT_VERSION};
+use crate::codec::{checksum, checksum_parts, put_u32, put_u64, Reader};
 use crate::error::DogmatixError;
 use crate::od::{OdSet, TermId};
+use crate::store::audit::StoreAuditor;
 use crate::store::pool::{BlockId, BufferPool, PageRef, PageSource, PoolStats};
-use crate::store::{PathId, Span, TypeStats};
+use crate::store::{PathId, Span, TermStore, TypeStats};
 use std::collections::{BTreeSet, HashMap};
-use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::path::Path;
+use std::sync::Arc;
 
-/// The paged snapshot format version. The flat format is
-/// [`SNAPSHOT_VERSION`]; loaders name both when rejecting a file.
-pub const SNAPSHOT_VERSION_PAGED: u32 = 2;
+const MAGIC: &[u8; 4] = b"DXTS";
+/// The retired flat format, named when rejecting such a file.
+const FLAT_VERSION: u32 = 1;
 
-/// Default page size for saved v2 snapshots.
+/// Default page size for saved snapshots and WAL checkpoint images.
 pub const DEFAULT_PAGE_SIZE: usize = 4096;
 
 const MIN_PAGE_SIZE: usize = 64;
 const MAX_PAGE_SIZE: usize = 1 << 26;
 const HEADER_FIXED: usize = 32;
 const DIR_ENTRY_BYTES: usize = 20;
+/// Hard cap on any single column length (guards a forged section
+/// length from driving an allocation before validation rejects it).
+const MAX_ARRAY_LEN: u64 = 1 << 31;
 
-// Section ids double as directory indices; the order is the v1 payload
-// order with the scalar prologue split into its own section.
+// Section ids double as directory indices.
 const SEC_META: usize = 0;
 const SEC_ARENA: usize = 1;
 const SEC_TERM_SPANS: usize = 2;
@@ -103,17 +103,9 @@ const SEC_GROUP_STARTS: usize = 17;
 const SEC_GROUP_TUPLES: usize = 18;
 const SECTION_COUNT: usize = 19;
 
-const META_BYTES: u64 = 20;
+const META_BYTES: usize = 20;
 
 // ---- writer -----------------------------------------------------------
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
 
 fn u32s_payload(vs: &[u32]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(vs.len() * 4);
@@ -150,7 +142,7 @@ fn section_payloads(
         group_tuples,
     ) = ods.columns();
 
-    let mut meta = Vec::with_capacity(META_BYTES as usize);
+    let mut meta = Vec::with_capacity(META_BYTES);
     put_u32(&mut meta, checked_u32(ods.len(), "object count")?);
     put_u64(
         &mut meta,
@@ -204,8 +196,10 @@ fn validate_page_size(page_size: usize) -> Result<(), DogmatixError> {
     Ok(())
 }
 
-/// Serialises an [`OdSet`] to a complete paged (v2) snapshot image —
-/// header, directory, page checksum table, and zero-padded data pages.
+/// Serialises an [`OdSet`] (minus its document-state node ids) to a
+/// complete snapshot image — header, directory, page checksum table,
+/// and zero-padded data pages. [`crate::wal`] checkpoints embed this
+/// image; [`SnapshotBackend`](super::SnapshotBackend) writes it to disk.
 pub fn paged_snapshot_to_bytes(
     ods: &OdSet,
     selections: &HashMap<String, BTreeSet<String>>,
@@ -255,7 +249,7 @@ pub fn paged_snapshot_to_bytes(
 
     let mut header = Vec::with_capacity(header_len as usize);
     header.extend_from_slice(MAGIC);
-    put_u32(&mut header, SNAPSHOT_VERSION_PAGED);
+    put_u32(&mut header, SNAPSHOT_VERSION);
     put_u32(&mut header, checked_u32(page_size, "page size")?);
     put_u32(&mut header, SECTION_COUNT as u32);
     put_u32(&mut header, page_count);
@@ -272,101 +266,87 @@ pub fn paged_snapshot_to_bytes(
 }
 
 /// [`paged_snapshot_to_bytes`] + the atomic tmp/fsync/rename install.
-pub fn save_snapshot_paged(
+/// Returns the size of the written image in bytes.
+pub(crate) fn save_snapshot(
     ods: &OdSet,
     selections: &HashMap<String, BTreeSet<String>>,
     doc_fingerprint: u64,
     path: &Path,
     page_size: usize,
-) -> Result<(), DogmatixError> {
-    let out = paged_snapshot_to_bytes(ods, selections, doc_fingerprint, page_size)?;
-    atomic_write(path, &out)
+) -> Result<u64, DogmatixError> {
+    let image = paged_snapshot_to_bytes(ods, selections, doc_fingerprint, page_size)?;
+    super::atomic_write(path, &image)
+        .map_err(|e| snap_err(format!("cannot write snapshot {}: {e}", path.display())))?;
+    Ok(image.len() as u64)
 }
 
 /// FNV-1a/mix64 over the header bytes, skipping the checksum field
 /// itself (offsets 24..32).
 fn header_digest(header: &[u8]) -> u64 {
-    let mut h = dogmatix_textsim::Fnv1a::new();
-    h.update(&header[..24]);
-    h.update(&header[32..]);
-    dogmatix_textsim::mix64(h.finish())
+    checksum_parts(&[&header[..24], &header[32..]])
 }
 
 // ---- header parsing ---------------------------------------------------
 
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct SectionMeta {
-    pub(crate) first_page: u32,
-    pub(crate) byte_len: u64,
+struct SectionMeta {
+    first_page: u32,
+    byte_len: u64,
 }
 
-/// The parsed, checksum-verified header of a v2 snapshot.
+/// The parsed, checksum-verified header of a snapshot.
 #[derive(Debug)]
-pub(crate) struct PagedHeader {
-    pub(crate) page_size: usize,
-    pub(crate) page_count: u32,
-    pub(crate) header_len: usize,
-    pub(crate) sections: Vec<SectionMeta>,
-    pub(crate) page_checksums: Vec<u64>,
+struct PagedHeader {
+    page_size: usize,
+    page_count: u32,
+    header_len: usize,
+    sections: Vec<SectionMeta>,
+    page_checksums: Vec<u64>,
 }
 
 struct FixedHeader {
     page_size: usize,
-    section_count: usize,
     page_count: u32,
     header_len: usize,
+    checksum: u64,
 }
 
-fn read_u32_at(b: &[u8], at: usize) -> u32 {
-    // Callers bounds-check; a short slice would already have errored.
-    let mut le = [0u8; 4];
-    le.copy_from_slice(&b[at..at + 4]);
-    u32::from_le_bytes(le)
-}
-
-fn read_u64_at(b: &[u8], at: usize) -> u64 {
-    let mut le = [0u8; 8];
-    le.copy_from_slice(&b[at..at + 8]);
-    u64::from_le_bytes(le)
-}
-
-/// Parses and sanity-checks the fixed 32-byte header prefix; this is
-/// where a v1 file or an unknown version is rejected with an error
-/// naming both supported versions.
+/// Parses and sanity-checks the fixed 32-byte header prefix. Magic and
+/// version are checked before the rest is required, so a short file
+/// of the wrong kind or version is named as such; this is where a
+/// version-1 file is rejected.
 fn parse_fixed_header(b: &[u8]) -> Result<FixedHeader, DogmatixError> {
-    if b.len() < HEADER_FIXED {
-        return Err(snap_err("snapshot truncated: missing paged header"));
-    }
-    if &b[0..4] != MAGIC {
+    let mut r = Reader::new(b, "snapshot header");
+    if r.take(4).ok() != Some(MAGIC.as_slice()) {
         return Err(snap_err("not a DogmatiX term-index snapshot (bad magic)"));
     }
-    let version = read_u32_at(b, 4);
-    if version == SNAPSHOT_VERSION {
+    let version = r.u32().map_err(snap_err)?;
+    if version == FLAT_VERSION {
         return Err(snap_err(format!(
-            "snapshot is the flat format (version {SNAPSHOT_VERSION}), but this paged \
-             reader only handles version {SNAPSHOT_VERSION_PAGED} — load the file \
-             through SnapshotBackend / --index-load (or re-save it with --index-paged)"
+            "snapshot is DXTS version {FLAT_VERSION}, the retired flat format; this build \
+             reads only version {SNAPSHOT_VERSION} — re-save it (e.g. with --index-save)"
         )));
     }
-    if version != SNAPSHOT_VERSION_PAGED {
+    if version != SNAPSHOT_VERSION {
         return Err(snap_err(format!(
-            "unsupported snapshot version {version} (this build reads the flat \
-             version {SNAPSHOT_VERSION} and the paged version {SNAPSHOT_VERSION_PAGED})"
+            "unsupported snapshot version {version} (this build reads version \
+             {SNAPSHOT_VERSION})"
         )));
     }
-    let page_size = read_u32_at(b, 8) as usize;
+    let page_size = r.u32().map_err(snap_err)? as usize;
     validate_page_size(page_size)?;
-    let section_count = read_u32_at(b, 12) as usize;
+    let section_count = r.u32().map_err(snap_err)? as usize;
     if section_count != SECTION_COUNT {
         return Err(snap_err(format!(
             "paged snapshot corrupted: {section_count} sections (this format has \
              {SECTION_COUNT})"
         )));
     }
-    let page_count = read_u32_at(b, 16);
-    let header_len = read_u32_at(b, 20) as usize;
+    let page_count = r.u32().map_err(snap_err)?;
+    let header_len = r.u32().map_err(snap_err)? as usize;
+    let checksum = r.u64().map_err(snap_err)?;
     let expected_len =
-        HEADER_FIXED as u64 + (section_count * DIR_ENTRY_BYTES) as u64 + page_count as u64 * 8;
+        HEADER_FIXED as u64 + (SECTION_COUNT * DIR_ENTRY_BYTES) as u64 + page_count as u64 * 8;
     if header_len as u64 != expected_len {
         return Err(snap_err(
             "paged snapshot corrupted: header length disagrees with the \
@@ -375,9 +355,9 @@ fn parse_fixed_header(b: &[u8]) -> Result<FixedHeader, DogmatixError> {
     }
     Ok(FixedHeader {
         page_size,
-        section_count,
         page_count,
         header_len,
+        checksum,
     })
 }
 
@@ -397,20 +377,20 @@ fn parse_paged_header(header: &[u8], file_len: u64) -> Result<PagedHeader, Dogma
              describes {expected_file_len} B"
         )));
     }
-    if header_digest(header) != read_u64_at(header, 24) {
+    if header_digest(header) != fixed.checksum {
         return Err(snap_err(
             "paged snapshot corrupted: header checksum mismatch",
         ));
     }
 
-    let mut sections = Vec::with_capacity(fixed.section_count);
+    let mut r = Reader::new(&header[HEADER_FIXED..], "snapshot directory");
+    let mut sections = Vec::with_capacity(SECTION_COUNT);
     let mut next_page: u64 = 0;
-    for i in 0..fixed.section_count {
-        let at = HEADER_FIXED + i * DIR_ENTRY_BYTES;
-        let id = read_u32_at(header, at);
-        let first_page = read_u32_at(header, at + 4);
-        let pages = read_u32_at(header, at + 8);
-        let byte_len = read_u64_at(header, at + 12);
+    for i in 0..SECTION_COUNT {
+        let id = r.u32().map_err(snap_err)?;
+        let first_page = r.u32().map_err(snap_err)?;
+        let pages = r.u32().map_err(snap_err)?;
+        let byte_len = r.u64().map_err(snap_err)?;
         if id as usize != i {
             return Err(snap_err(format!(
                 "paged snapshot corrupted: directory entry {i} carries id {id}"
@@ -435,11 +415,10 @@ fn parse_paged_header(header: &[u8], file_len: u64) -> Result<PagedHeader, Dogma
             "paged snapshot corrupted: directory pages do not sum to the page count",
         ));
     }
-
-    let table_at = HEADER_FIXED + fixed.section_count * DIR_ENTRY_BYTES;
-    let page_checksums = (0..fixed.page_count as usize)
-        .map(|i| read_u64_at(header, table_at + i * 8))
-        .collect();
+    let page_checksums = (0..fixed.page_count)
+        .map(|_| r.u64())
+        .collect::<Result<_, _>>()
+        .map_err(snap_err)?;
 
     Ok(PagedHeader {
         page_size: fixed.page_size,
@@ -458,9 +437,9 @@ enum Backing {
     Bytes(Vec<u8>),
 }
 
-/// [`PageSource`] over a v2 snapshot: serves `page_count` fixed-size
-/// pages from the data region and verifies each page's checksum
-/// against the header table at fault-in time.
+/// [`PageSource`] over a snapshot: serves `page_count` fixed-size pages
+/// from the data region and verifies each page's checksum against the
+/// header table at fault-in time.
 #[derive(Debug)]
 struct PagedSource {
     header: Arc<PagedHeader>,
@@ -514,25 +493,24 @@ impl PageSource for PagedSource {
     }
 }
 
-/// Opens a v2 snapshot file: parses + verifies the header, then wraps
-/// the data region in a budget-bounded [`BufferPool`].
+/// Opens a snapshot file: parses + verifies the header, then wraps the
+/// data region in a budget-bounded [`BufferPool`].
 fn pool_over_file(
     path: &Path,
     budget: usize,
 ) -> Result<(BufferPool, Arc<PagedHeader>), DogmatixError> {
     use std::io::Read;
-    let mut f = std::fs::File::open(path)
-        .map_err(|e| snap_err(format!("cannot read snapshot {}: {e}", path.display())))?;
-    let file_len = f
-        .metadata()
-        .map_err(|e| snap_err(format!("cannot stat snapshot {}: {e}", path.display())))?
-        .len();
-    let mut fixed = [0u8; HEADER_FIXED];
-    f.read_exact(&mut fixed)
-        .map_err(|_| snap_err("snapshot truncated: missing paged header"))?;
-    let parsed = parse_fixed_header(&fixed)?;
-    let mut header_bytes = vec![0u8; parsed.header_len];
-    header_bytes[..HEADER_FIXED].copy_from_slice(&fixed);
+    let read_err =
+        |e: std::io::Error| snap_err(format!("cannot read snapshot {}: {e}", path.display()));
+    let mut f = std::fs::File::open(path).map_err(read_err)?;
+    let file_len = f.metadata().map_err(read_err)?.len();
+    let mut header_bytes = Vec::with_capacity(HEADER_FIXED);
+    Read::by_ref(&mut f)
+        .take(HEADER_FIXED as u64)
+        .read_to_end(&mut header_bytes)
+        .map_err(read_err)?;
+    let fixed = parse_fixed_header(&header_bytes)?;
+    header_bytes.resize(fixed.header_len, 0);
     f.read_exact(&mut header_bytes[HEADER_FIXED..])
         .map_err(|_| snap_err("snapshot truncated: incomplete paged header"))?;
     let header = Arc::new(parse_paged_header(&header_bytes, file_len)?);
@@ -545,20 +523,19 @@ fn pool_over_file(
     Ok((pool, header))
 }
 
-/// A pool over an in-memory v2 image (the compat path
-/// [`super::load_snapshot`] uses after reading the whole file).
+/// A pool over an in-memory image, taking ownership of it (no copy).
 fn pool_over_bytes(
-    data: &[u8],
+    data: Vec<u8>,
     budget: usize,
 ) -> Result<(BufferPool, Arc<PagedHeader>), DogmatixError> {
-    let fixed = parse_fixed_header(data)?;
+    let fixed = parse_fixed_header(&data)?;
     let header_bytes = data
         .get(..fixed.header_len)
         .ok_or_else(|| snap_err("snapshot truncated: incomplete paged header"))?;
     let header = Arc::new(parse_paged_header(header_bytes, data.len() as u64)?);
     let source = PagedSource {
         header: Arc::clone(&header),
-        backing: Backing::Bytes(data.to_vec()),
+        backing: Backing::Bytes(data),
         label: "<bytes>".to_string(),
     };
     let pool = BufferPool::new(Box::new(source), budget)?;
@@ -578,11 +555,7 @@ struct SectionCursor<'p> {
 }
 
 impl<'p> SectionCursor<'p> {
-    fn new(pool: &'p mut BufferPool, meta: SectionMeta) -> SectionCursor<'p> {
-        SectionCursor::new_at(pool, meta, 0)
-    }
-
-    fn new_at(pool: &'p mut BufferPool, meta: SectionMeta, pos: u64) -> SectionCursor<'p> {
+    fn new(pool: &'p mut BufferPool, meta: SectionMeta, pos: u64) -> SectionCursor<'p> {
         SectionCursor {
             pool,
             first_page: meta.first_page,
@@ -627,18 +600,6 @@ impl<'p> SectionCursor<'p> {
         Ok(())
     }
 
-    fn u32(&mut self) -> Result<u32, DogmatixError> {
-        let mut b = [0u8; 4];
-        self.read_exact(&mut b)?;
-        Ok(u32::from_le_bytes(b))
-    }
-
-    fn u64(&mut self) -> Result<u64, DogmatixError> {
-        let mut b = [0u8; 8];
-        self.read_exact(&mut b)?;
-        Ok(u64::from_le_bytes(b))
-    }
-
     /// Unpins the held page. Dropping the cursor without `finish`
     /// leaks a pin for the rest of the pool's (short) life, so every
     /// read path ends here.
@@ -649,7 +610,28 @@ impl<'p> SectionCursor<'p> {
     }
 }
 
-fn element_count(meta: SectionMeta, elem: u64, what: &str) -> Result<usize, DogmatixError> {
+/// Reads `len` bytes at `offset` within a section through the pool.
+fn read_section(
+    pool: &mut BufferPool,
+    meta: SectionMeta,
+    offset: u64,
+    out: &mut [u8],
+) -> Result<(), DogmatixError> {
+    let mut cur = SectionCursor::new(pool, meta, offset);
+    let r = cur.read_exact(out);
+    cur.finish();
+    r
+}
+
+/// Decodes a whole section of fixed-width `elem`-byte elements, one
+/// page-sized chunk at a time (the chunk buffer is the only scratch).
+fn read_column<T>(
+    pool: &mut BufferPool,
+    meta: SectionMeta,
+    elem: u64,
+    what: &'static str,
+    decode: fn(&mut Reader<'_>) -> Result<T, String>,
+) -> Result<Vec<T>, DogmatixError> {
     if !meta.byte_len.is_multiple_of(elem) {
         return Err(snap_err(format!(
             "paged snapshot corrupted: section {what} is {} B, not a multiple \
@@ -661,305 +643,169 @@ fn element_count(meta: SectionMeta, elem: u64, what: &str) -> Result<usize, Dogm
     if n > MAX_ARRAY_LEN {
         return Err(snap_err(format!("implausible array length {n}")));
     }
-    Ok(n as usize)
-}
-
-fn read_u32s(
-    pool: &mut BufferPool,
-    meta: SectionMeta,
-    what: &str,
-) -> Result<Vec<u32>, DogmatixError> {
-    let n = element_count(meta, 4, what)?;
-    let mut cur = SectionCursor::new(pool, meta);
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(cur.u32()?);
+    let mut out = Vec::with_capacity(n as usize);
+    let per_chunk = (pool.page_size() as u64 / elem).max(1);
+    let mut chunk = vec![0u8; (per_chunk * elem) as usize];
+    let mut offset = 0;
+    while offset < meta.byte_len {
+        let k = ((meta.byte_len - offset) / elem).min(per_chunk);
+        let bytes = &mut chunk[..(k * elem) as usize];
+        read_section(pool, meta, offset, bytes)?;
+        let mut r = Reader::new(bytes, what);
+        for _ in 0..k {
+            out.push(decode(&mut r).map_err(snap_err)?);
+        }
+        offset += k * elem;
     }
-    cur.finish();
     Ok(out)
 }
 
-fn read_spans(
-    pool: &mut BufferPool,
-    meta: SectionMeta,
-    what: &str,
-) -> Result<Vec<Span>, DogmatixError> {
-    let n = element_count(meta, 8, what)?;
-    let mut cur = SectionCursor::new(pool, meta);
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let start = cur.u32()?;
-        let len = cur.u32()?;
-        out.push(Span::new(start, len));
-    }
-    cur.finish();
-    Ok(out)
+fn span(r: &mut Reader<'_>) -> Result<Span, String> {
+    Ok(Span::new(r.u32()?, r.u32()?))
 }
 
-fn read_f64s(
-    pool: &mut BufferPool,
-    meta: SectionMeta,
-    what: &str,
-) -> Result<Vec<f64>, DogmatixError> {
-    let n = element_count(meta, 8, what)?;
-    let mut cur = SectionCursor::new(pool, meta);
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(f64::from_bits(cur.u64()?));
-    }
-    cur.finish();
-    Ok(out)
-}
-
-fn read_type_stats(
-    pool: &mut BufferPool,
-    meta: SectionMeta,
-    what: &str,
-) -> Result<Vec<TypeStats>, DogmatixError> {
-    let n = element_count(meta, 12, what)?;
-    let mut cur = SectionCursor::new(pool, meta);
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(TypeStats {
-            terms: cur.u32()?,
-            tuples: cur.u32()?,
-            postings: cur.u32()?,
-        });
-    }
-    cur.finish();
-    Ok(out)
-}
-
-fn read_arena(pool: &mut BufferPool, meta: SectionMeta) -> Result<String, DogmatixError> {
-    if meta.byte_len > MAX_ARRAY_LEN {
-        return Err(snap_err(format!(
-            "implausible array length {}",
-            meta.byte_len
-        )));
-    }
-    let mut bytes = vec![0u8; meta.byte_len as usize];
-    let mut cur = SectionCursor::new(pool, meta);
-    cur.read_exact(&mut bytes)?;
-    cur.finish();
-    String::from_utf8(bytes).map_err(|_| snap_err("snapshot corrupted: arena is not valid UTF-8"))
-}
-
-/// Streams every section through the pool and runs the shared
-/// fingerprint + audit tail. Peak pool residency during this call is
-/// bounded by the pool's budget, not the snapshot size.
-fn decode_paged(
+/// Streams every section through the pool, checks the fingerprints,
+/// assembles the set, and audits it. Peak pool residency during this
+/// call is bounded by the pool's budget, not the snapshot size.
+fn decode(
     pool: &mut BufferPool,
     header: &PagedHeader,
     selections: &HashMap<String, BTreeSet<String>>,
     doc_fingerprint: u64,
 ) -> Result<OdSet, DogmatixError> {
     let sec = |i: usize| header.sections[i];
-    let meta = sec(SEC_META);
-    if meta.byte_len != META_BYTES {
+    if sec(SEC_META).byte_len != META_BYTES as u64 {
         return Err(snap_err(format!(
             "paged snapshot corrupted: meta section is {} B (expected {META_BYTES})",
-            meta.byte_len
+            sec(SEC_META).byte_len
         )));
     }
-    let mut cur = SectionCursor::new(pool, meta);
-    let object_count = cur.u32()? as usize;
-    let selection_fp = cur.u64()?;
-    let doc_fp = cur.u64()?;
-    cur.finish();
+    let mut meta = [0u8; META_BYTES];
+    read_section(pool, sec(SEC_META), 0, &mut meta)?;
+    let mut r = Reader::new(&meta, "meta section");
+    let object_count = r.u32().map_err(snap_err)? as usize;
+    let selection_fp = r.u64().map_err(snap_err)?;
+    let doc_fp = r.u64().map_err(snap_err)?;
+    if selection_fp != super::selection_fingerprint(object_count, selections) {
+        return Err(snap_err(
+            "snapshot was built under a different description selection \
+             (or candidate count) — rebuild it with --index-save",
+        ));
+    }
+    if doc_fp != doc_fingerprint {
+        return Err(snap_err(
+            "snapshot was built from different document content — \
+             rebuild it with --index-save",
+        ));
+    }
 
-    let raw = RawColumns {
-        object_count,
-        selection_fp,
-        doc_fp,
-        arena: read_arena(pool, sec(SEC_ARENA))?,
-        term_norm: read_spans(pool, sec(SEC_TERM_SPANS), "term spans")?,
-        term_type: read_u32s(pool, sec(SEC_TERM_TYPES), "term types")?,
-        term_char_len: read_u32s(pool, sec(SEC_TERM_CHAR_LENS), "term char lens")?,
-        term_idf: read_f64s(pool, sec(SEC_TERM_IDFS), "term idfs")?,
-        posting_starts: read_u32s(pool, sec(SEC_POSTING_STARTS), "posting starts")?,
-        postings: read_u32s(pool, sec(SEC_POSTINGS), "postings")?,
-        type_names: read_spans(pool, sec(SEC_TYPE_NAME_SPANS), "type names")?,
-        path_names: read_spans(pool, sec(SEC_PATH_NAME_SPANS), "path names")?,
-        type_stats: read_type_stats(pool, sec(SEC_TYPE_STATS), "type stats")?,
-        od_starts: read_u32s(pool, sec(SEC_OD_STARTS), "od starts")?,
-        tuple_term: read_u32s(pool, sec(SEC_TUPLE_TERM), "tuple terms")?
-            .into_iter()
-            .map(TermId)
-            .collect(),
-        tuple_value: read_spans(pool, sec(SEC_TUPLE_VALUE_SPANS), "tuple values")?,
-        tuple_path: read_u32s(pool, sec(SEC_TUPLE_PATH), "tuple paths")?
-            .into_iter()
-            .map(PathId)
-            .collect(),
-        od_group_starts: read_u32s(pool, sec(SEC_OD_GROUP_STARTS), "od group starts")?,
-        group_types: read_u32s(pool, sec(SEC_GROUP_TYPES), "group types")?,
-        group_starts: read_u32s(pool, sec(SEC_GROUP_STARTS), "group starts")?,
-        group_tuples: read_u32s(pool, sec(SEC_GROUP_TUPLES), "group tuples")?,
-    };
-    super::assemble_and_audit(raw, selections, doc_fingerprint)
+    let arena_len = sec(SEC_ARENA).byte_len;
+    if arena_len > MAX_ARRAY_LEN {
+        return Err(snap_err(format!("implausible array length {arena_len}")));
+    }
+    let mut arena = vec![0u8; arena_len as usize];
+    read_section(pool, sec(SEC_ARENA), 0, &mut arena)?;
+    let arena = String::from_utf8(arena)
+        .map_err(|_| snap_err("snapshot corrupted: arena is not valid UTF-8"))?;
+
+    let u32s =
+        |pool: &mut BufferPool, i: usize, what| read_column(pool, sec(i), 4, what, |r| r.u32());
+    let spans = |pool: &mut BufferPool, i: usize, what| read_column(pool, sec(i), 8, what, span);
+    let store = TermStore::from_parts(
+        arena,
+        spans(pool, SEC_TERM_SPANS, "term spans")?,
+        u32s(pool, SEC_TERM_TYPES, "term types")?,
+        u32s(pool, SEC_TERM_CHAR_LENS, "term char lens")?,
+        read_column(pool, sec(SEC_TERM_IDFS), 8, "term idfs", |r| {
+            r.u64().map(f64::from_bits)
+        })?,
+        u32s(pool, SEC_POSTING_STARTS, "posting starts")?,
+        u32s(pool, SEC_POSTINGS, "postings")?,
+        spans(pool, SEC_TYPE_NAME_SPANS, "type names")?,
+        spans(pool, SEC_PATH_NAME_SPANS, "path names")?,
+        read_column(pool, sec(SEC_TYPE_STATS), 12, "type stats", |r| {
+            Ok(TypeStats {
+                terms: r.u32()?,
+                tuples: r.u32()?,
+                postings: r.u32()?,
+            })
+        })?,
+        checked_u32(object_count, "object count")?,
+    );
+    let ods = OdSet::from_columns(
+        Vec::new(),
+        store,
+        u32s(pool, SEC_OD_STARTS, "od starts")?,
+        read_column(pool, sec(SEC_TUPLE_TERM), 4, "tuple terms", |r| {
+            r.u32().map(TermId)
+        })?,
+        spans(pool, SEC_TUPLE_VALUE_SPANS, "tuple values")?,
+        read_column(pool, sec(SEC_TUPLE_PATH), 4, "tuple paths", |r| {
+            r.u32().map(PathId)
+        })?,
+        u32s(pool, SEC_OD_GROUP_STARTS, "od group starts")?,
+        u32s(pool, SEC_GROUP_TYPES, "group types")?,
+        u32s(pool, SEC_GROUP_STARTS, "group starts")?,
+        u32s(pool, SEC_GROUP_TUPLES, "group tuples")?,
+    );
+
+    // Structural + semantic validation: the live-store auditor checks
+    // everything detection will index (span bounds, CSR monotonicity,
+    // id ranges, posting order) plus the invariants only a full audit
+    // sees (interner consistency, IDF↔posting agreement, group/tuple
+    // cross-consistency) — one shared implementation with the
+    // stage-boundary gates, so a malformed file can never panic the
+    // pipeline later. Construction above is pure moves; nothing indexes
+    // the columns before the audit accepts them.
+    let report = StoreAuditor::audit(&ods);
+    if let Some(v) = report.violations().first() {
+        return Err(snap_err(format!("snapshot fails the store audit: {v}")));
+    }
+    Ok(ods)
 }
 
-/// Verifies and reassembles a paged snapshot from an in-memory image,
-/// through a pool with the given budget. Used by
-/// [`super::load_snapshot`]'s v2 compatibility path.
-pub(crate) fn odset_from_paged_bytes(
-    data: &[u8],
+/// Reads, verifies, and reassembles the snapshot at `path`. With a
+/// budget the file streams through a pool of at most that many bytes;
+/// without one the whole file is read into memory first. Returns the
+/// set — carrying **no candidate nodes**, the caller re-attaches them —
+/// and the pool counters of the load.
+pub(crate) fn load_snapshot(
+    path: &Path,
+    budget: Option<usize>,
     selections: &HashMap<String, BTreeSet<String>>,
     doc_fingerprint: u64,
-    budget: usize,
+) -> Result<(OdSet, PoolStats), DogmatixError> {
+    let (mut pool, header) = match budget {
+        Some(budget) => pool_over_file(path, budget)?,
+        None => {
+            let data = std::fs::read(path)
+                .map_err(|e| snap_err(format!("cannot read snapshot {}: {e}", path.display())))?;
+            pool_over_bytes(data, usize::MAX)?
+        }
+    };
+    let ods = decode(&mut pool, &header, selections, doc_fingerprint)?;
+    Ok((ods, pool.stats()))
+}
+
+/// Verifies and reassembles a snapshot from its in-memory image (the
+/// byte sequence [`paged_snapshot_to_bytes`] produced) — the
+/// [`crate::wal`] checkpoint recovery path.
+pub(crate) fn decode_image(
+    data: Vec<u8>,
+    selections: &HashMap<String, BTreeSet<String>>,
+    doc_fingerprint: u64,
 ) -> Result<OdSet, DogmatixError> {
-    let (mut pool, header) = pool_over_bytes(data, budget)?;
-    decode_paged(&mut pool, &header, selections, doc_fingerprint)
-}
-
-// ---- the backend ------------------------------------------------------
-
-/// The out-of-core term-index backend: paged v2 snapshots read through
-/// a pinned buffer pool under a configurable memory budget.
-///
-/// [`PagedBackend::open`] loads (the common case); [`PagedBackend::save`]
-/// builds in memory and writes the v2 file. Loading streams the file
-/// page by page, so peak pool residency never exceeds the budget even
-/// when the snapshot is far larger — [`PagedBackend::last_stats`]
-/// exposes the pool counters of the most recent load, which the
-/// scaling bench gate asserts against. Results are bit-identical to
-/// [`InMemoryBackend`](super::InMemoryBackend) and the flat
-/// [`SnapshotBackend`](super::SnapshotBackend)
-/// (`tests/equivalence.rs`).
-///
-/// ```no_run
-/// use dogmatix_core::backend::paged::PagedBackend;
-/// use dogmatix_core::pipeline::Dogmatix;
-/// use dogmatix_xml::{Document, Schema};
-///
-/// let doc = Document::parse("<db><m><t>A</t></m><m><t>A</t></m></db>")?;
-/// let schema = Schema::infer(&doc)?;
-/// // First run: build in memory and persist the paged index.
-/// Dogmatix::builder()
-///     .add_type("M", ["/db/m"])
-///     .index_backend(PagedBackend::save("/tmp/dx.v2", 1 << 20))
-///     .build()
-///     .run(&doc, &schema, "M")?;
-/// // Warm start under a 64 KiB pool budget.
-/// let warm = Dogmatix::builder()
-///     .add_type("M", ["/db/m"])
-///     .index_backend(PagedBackend::open("/tmp/dx.v2", 64 * 1024))
-///     .build()
-///     .run(&doc, &schema, "M")?;
-/// # let _ = warm;
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-#[derive(Debug)]
-pub struct PagedBackend {
-    path: PathBuf,
-    mode: SnapshotMode,
-    budget: usize,
-    page_size: usize,
-    last_stats: Mutex<Option<PoolStats>>,
-}
-
-impl PagedBackend {
-    /// A backend that warm-starts from the paged snapshot at `path`,
-    /// holding at most `budget` bytes of pages resident.
-    pub fn open(path: impl Into<PathBuf>, budget: usize) -> PagedBackend {
-        PagedBackend {
-            path: path.into(),
-            mode: SnapshotMode::Load,
-            budget,
-            page_size: DEFAULT_PAGE_SIZE,
-            last_stats: Mutex::new(None),
-        }
-    }
-
-    /// A backend that builds in memory and saves the paged snapshot to
-    /// `path` (with [`DEFAULT_PAGE_SIZE`] pages unless overridden).
-    pub fn save(path: impl Into<PathBuf>, budget: usize) -> PagedBackend {
-        PagedBackend {
-            path: path.into(),
-            mode: SnapshotMode::Save,
-            budget,
-            page_size: DEFAULT_PAGE_SIZE,
-            last_stats: Mutex::new(None),
-        }
-    }
-
-    /// Overrides the page size used by [`PagedBackend::save`]. Smaller
-    /// pages mean finer-grained eviction (and more checksum entries).
-    pub fn with_page_size(mut self, page_size: usize) -> PagedBackend {
-        self.page_size = page_size;
-        self
-    }
-
-    /// The snapshot file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// The backend's mode.
-    pub fn mode(&self) -> SnapshotMode {
-        self.mode
-    }
-
-    /// The pool memory budget, in bytes.
-    pub fn budget(&self) -> usize {
-        self.budget
-    }
-
-    /// Pool counters from the most recent load, if one has completed.
-    /// `peak_resident_bytes` here is what the scaling bench holds under
-    /// the budget.
-    pub fn last_stats(&self) -> Option<PoolStats> {
-        match self.last_stats.lock() {
-            Ok(guard) => *guard,
-            Err(poisoned) => *poisoned.into_inner(),
-        }
-    }
-}
-
-impl TermIndexBackend for PagedBackend {
-    fn acquire(&self, ctx: IndexContext<'_>) -> Result<Arc<OdSet>, DogmatixError> {
-        match self.mode {
-            SnapshotMode::Save => {
-                let ods = OdSet::build(ctx.doc, ctx.candidates, ctx.selections, ctx.mapping);
-                save_snapshot_paged(
-                    &ods,
-                    ctx.selections,
-                    doc_fingerprint(ctx.doc),
-                    &self.path,
-                    self.page_size,
-                )?;
-                Ok(Arc::new(ods))
-            }
-            SnapshotMode::Load => {
-                let (mut pool, header) = pool_over_file(&self.path, self.budget)?;
-                let ods =
-                    decode_paged(&mut pool, &header, ctx.selections, doc_fingerprint(ctx.doc))?;
-                if let Ok(mut guard) = self.last_stats.lock() {
-                    *guard = Some(pool.stats());
-                }
-                let ods = super::attach_candidates(ods, ctx.candidates)?;
-                Ok(Arc::new(ods))
-            }
-        }
-    }
-}
-
-/// Shared handles work too: the bench keeps an `Arc<PagedBackend>` to
-/// read [`PagedBackend::last_stats`] after handing the backend to a
-/// builder.
-impl TermIndexBackend for Arc<PagedBackend> {
-    fn acquire(&self, ctx: IndexContext<'_>) -> Result<Arc<OdSet>, DogmatixError> {
-        PagedBackend::acquire(self, ctx)
-    }
+    let (mut pool, header) = pool_over_bytes(data, usize::MAX)?;
+    decode(&mut pool, &header, selections, doc_fingerprint)
 }
 
 // ---- point access -----------------------------------------------------
 
-/// Random point access over a paged snapshot: term text and posting
-/// lists resolved by pinning exactly the pages a lookup touches. This
-/// is the genuinely out-of-core access path — nothing is decoded up
-/// front, and with a small budget the pool visibly evicts and refaults
-/// under a scattered access pattern ([`PagedReader::stats`]).
+/// Random point access over a snapshot: term text and posting lists
+/// resolved by pinning exactly the pages a lookup touches. This is the
+/// genuinely out-of-core access path — nothing is decoded up front, and
+/// with a small budget the pool visibly evicts and refaults under a
+/// scattered access pattern ([`PagedReader::stats`]).
 #[derive(Debug)]
 pub struct PagedReader {
     pool: BufferPool,
@@ -967,7 +813,7 @@ pub struct PagedReader {
 }
 
 impl PagedReader {
-    /// Opens the paged snapshot at `path` under a pool budget.
+    /// Opens the snapshot at `path` under a pool budget.
     pub fn open(path: impl AsRef<Path>, budget: usize) -> Result<PagedReader, DogmatixError> {
         let (pool, header) = pool_over_file(path.as_ref(), budget)?;
         Ok(PagedReader { pool, header })
@@ -981,34 +827,38 @@ impl PagedReader {
     /// Reads `out.len()` bytes at `offset` within section `sec`.
     fn read_at(&mut self, sec: usize, offset: u64, out: &mut [u8]) -> Result<(), DogmatixError> {
         let meta = self.header.sections[sec];
-        let end = offset
+        offset
             .checked_add(out.len() as u64)
-            .filter(|&e| e <= meta.byte_len)
+            .filter(|&end| end <= meta.byte_len)
             .ok_or_else(|| {
                 snap_err("paged snapshot corrupted: point read out of section bounds")
             })?;
-        let _ = end;
-        let mut cur = SectionCursor::new_at(&mut self.pool, meta, offset);
-        let r = cur.read_exact(out);
-        cur.finish();
-        r
+        read_section(&mut self.pool, meta, offset, out)
     }
 
-    fn u32_at(&mut self, sec: usize, index: u64) -> Result<u32, DogmatixError> {
-        let mut b = [0u8; 4];
-        self.read_at(sec, index * 4, &mut b)?;
-        Ok(u32::from_le_bytes(b))
+    /// Reads `len` bytes at `offset` within section `sec` into a fresh
+    /// buffer. Both values come from the file, so the range is checked
+    /// against the section before the buffer is sized from it.
+    fn read_vec(&mut self, sec: usize, offset: u64, len: u64) -> Result<Vec<u8>, DogmatixError> {
+        let len = offset
+            .checked_add(len)
+            .filter(|&end| end <= self.header.sections[sec].byte_len)
+            .and_then(|_| usize::try_from(len).ok())
+            .ok_or_else(|| {
+                snap_err("paged snapshot corrupted: point read out of section bounds")
+            })?;
+        let mut out = vec![0u8; len];
+        self.read_at(sec, offset, &mut out)?;
+        Ok(out)
     }
 
     /// The normalised text of term `term`, resolved through the span
     /// and arena pages only.
     pub fn term_text(&mut self, term: u32) -> Result<String, DogmatixError> {
-        let mut span = [0u8; 8];
-        self.read_at(SEC_TERM_SPANS, term as u64 * 8, &mut span)?;
-        let start = u32::from_le_bytes([span[0], span[1], span[2], span[3]]);
-        let len = u32::from_le_bytes([span[4], span[5], span[6], span[7]]);
-        let mut bytes = vec![0u8; len as usize];
-        self.read_at(SEC_ARENA, start as u64, &mut bytes)?;
+        let mut raw = [0u8; 8];
+        self.read_at(SEC_TERM_SPANS, term as u64 * 8, &mut raw)?;
+        let s = span(&mut Reader::new(&raw, "term span")).map_err(snap_err)?;
+        let bytes = self.read_vec(SEC_ARENA, s.start_raw() as u64, s.len() as u64)?;
         String::from_utf8(bytes)
             .map_err(|_| snap_err("snapshot corrupted: arena is not valid UTF-8"))
     }
@@ -1016,17 +866,21 @@ impl PagedReader {
     /// The posting list (object ids) of term `term`, resolved through
     /// the CSR start and posting pages only.
     pub fn postings(&mut self, term: u32) -> Result<Vec<u32>, DogmatixError> {
-        let start = self.u32_at(SEC_POSTING_STARTS, term as u64)?;
-        let end = self.u32_at(SEC_POSTING_STARTS, term as u64 + 1)?;
-        let n = end
-            .checked_sub(start)
-            .ok_or_else(|| snap_err("paged snapshot corrupted: non-monotonic posting starts"))?;
-        let mut bytes = vec![0u8; n as usize * 4];
-        self.read_at(SEC_POSTINGS, start as u64 * 4, &mut bytes)?;
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect())
+        let mut raw = [0u8; 8];
+        self.read_at(SEC_POSTING_STARTS, term as u64 * 4, &mut raw)?;
+        let mut r = Reader::new(&raw, "posting starts");
+        let start = r.u32().map_err(snap_err)?;
+        let end = r.u32().map_err(snap_err)?;
+        let corrupt = || snap_err("paged snapshot corrupted: non-monotonic posting starts");
+        let n = end.checked_sub(start).ok_or_else(corrupt)?;
+        let offset = (start as u64).checked_mul(4).ok_or_else(corrupt)?;
+        let len = (n as u64).checked_mul(4).ok_or_else(corrupt)?;
+        let bytes = self.read_vec(SEC_POSTINGS, offset, len)?;
+        let mut r = Reader::new(&bytes, "postings");
+        (0..n)
+            .map(|_| r.u32())
+            .collect::<Result<_, _>>()
+            .map_err(snap_err)
     }
 
     /// Pool counters so far (hits, misses, evictions, peak residency).
@@ -1038,9 +892,10 @@ impl PagedReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{InMemoryBackend, SnapshotBackend};
+    use crate::backend::{InMemoryBackend, SnapshotBackend, TermIndexBackend};
     use crate::pipeline::Dogmatix;
     use dogmatix_xml::{Document, Schema};
+    use std::path::PathBuf;
 
     fn corpus() -> (Document, Schema) {
         let mut xml = String::from("<db>");
@@ -1075,10 +930,10 @@ mod tests {
     fn paged_roundtrip_matches_in_memory_under_a_tight_budget() {
         let path = temp("roundtrip");
         let (doc, schema) = corpus();
-        let cold = detector(PagedBackend::save(&path, 1 << 20).with_page_size(256))
+        let cold = detector(SnapshotBackend::save(&path).with_page_size(256))
             .run(&doc, &schema, "M")
             .unwrap();
-        let backend = Arc::new(PagedBackend::open(&path, 1024));
+        let backend = Arc::new(SnapshotBackend::load(&path).with_budget(1024));
         let warm = detector(Arc::clone(&backend))
             .run(&doc, &schema, "M")
             .unwrap();
@@ -1098,22 +953,36 @@ mod tests {
 
     #[test]
     fn snapshot_backend_reads_v2_files() {
+        // The unbounded default reads the whole file and keeps every
+        // page resident; the result matches the budgeted load.
         let path = temp("compat");
         let (doc, schema) = corpus();
-        let cold = detector(PagedBackend::save(&path, 1 << 20))
+        let cold = detector(SnapshotBackend::save(&path))
             .run(&doc, &schema, "M")
             .unwrap();
-        let via_flat_backend = detector(SnapshotBackend::load(&path))
+        let unbounded = Arc::new(SnapshotBackend::load(&path));
+        let warm = detector(Arc::clone(&unbounded))
             .run(&doc, &schema, "M")
             .unwrap();
-        assert_eq!(cold, via_flat_backend);
+        assert_eq!(cold, warm);
+        let stats = unbounded.last_stats().unwrap();
+        assert_eq!(stats.evictions, 0, "{stats:?}");
+        assert_eq!(
+            stats.peak_resident_bytes as u64 + header_len(&std::fs::read(&path).unwrap()),
+            std::fs::metadata(&path).unwrap().len(),
+            "every data page resident once"
+        );
+    }
+
+    fn header_len(image: &[u8]) -> u64 {
+        parse_fixed_header(image).unwrap().header_len as u64
     }
 
     #[test]
     fn paged_reader_point_reads_match_the_decoded_store() {
         let path = temp("points");
         let (doc, schema) = corpus();
-        let dx = detector(PagedBackend::save(&path, 1 << 20).with_page_size(256));
+        let dx = detector(SnapshotBackend::save(&path).with_page_size(256));
         dx.run(&doc, &schema, "M").unwrap();
 
         // Ground truth from a full in-memory build.
@@ -1136,31 +1005,80 @@ mod tests {
         assert!(stats.peak_resident_bytes <= 1024, "{stats:?}");
     }
 
+    /// Overwrites the u32 at `offset` of section `sec` and re-seals the
+    /// page and header checksums, as a forger would.
+    fn forge_u32(image: &mut [u8], sec: usize, offset: u64, value: u32) {
+        let fixed = parse_fixed_header(image).unwrap();
+        let header = parse_paged_header(&image[..fixed.header_len], image.len() as u64).unwrap();
+        let ps = header.page_size as u64;
+        let page = header.sections[sec].first_page as u64 + offset / ps;
+        let at = (header.header_len as u64 + page * ps + offset % ps) as usize;
+        image[at..at + 4].copy_from_slice(&value.to_le_bytes());
+        let page_at = header.header_len + page as usize * header.page_size;
+        let sum = checksum(&image[page_at..page_at + header.page_size]);
+        let table_at = HEADER_FIXED + SECTION_COUNT * DIR_ENTRY_BYTES + page as usize * 8;
+        image[table_at..table_at + 8].copy_from_slice(&sum.to_le_bytes());
+        let digest = header_digest(&image[..header.header_len]);
+        image[24..32].copy_from_slice(&digest.to_le_bytes());
+    }
+
+    #[test]
+    fn forged_point_read_lengths_fail_before_allocating() {
+        let path = temp("forged");
+        let (doc, schema) = corpus();
+        detector(SnapshotBackend::save(&path).with_page_size(256))
+            .run(&doc, &schema, "M")
+            .unwrap();
+        let good = std::fs::read(&path).unwrap();
+
+        // Term 0's span claims a ~4 GiB length; term 1's CSR end claims
+        // ~16 GiB of postings. Checksums are re-sealed, so only the
+        // section bounds check stands between the file and the
+        // allocation.
+        let mut span = good.clone();
+        forge_u32(&mut span, SEC_TERM_SPANS, 4, u32::MAX - 1);
+        let mut starts = good.clone();
+        forge_u32(&mut starts, SEC_POSTING_STARTS, 8, u32::MAX);
+        for (tag, image) in [("span", span), ("starts", starts)] {
+            std::fs::write(&path, &image).unwrap();
+            let mut reader = PagedReader::open(&path, 1 << 16).unwrap();
+            let err = match tag {
+                "span" => reader.term_text(0).unwrap_err(),
+                _ => reader.postings(1).unwrap_err(),
+            };
+            assert!(
+                matches!(err, DogmatixError::Snapshot { .. }),
+                "{tag}: {err}"
+            );
+            assert!(err.to_string().contains("out of section bounds"), "{err}");
+        }
+    }
+
     #[test]
     fn version_cross_errors_name_both_versions() {
-        let dir = std::env::temp_dir().join("dx_paged_unit");
-        std::fs::create_dir_all(&dir).unwrap();
+        // A version-1 image — the retired flat format — is refused by
+        // every reader with a message naming both versions and the fix.
+        let path = temp("v1file");
         let (doc, schema) = corpus();
-
-        // v1 file through the paged reader.
-        let v1 = temp("v1file");
-        detector(SnapshotBackend::save(&v1))
+        detector(SnapshotBackend::save(&path))
             .run(&doc, &schema, "M")
             .unwrap();
-        let err = PagedReader::open(&v1, 1 << 16).unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("flat format (version 1)"), "{msg}");
-        assert!(msg.contains("version 2"), "{msg}");
-
-        // v2 file through the flat-image reader.
-        let v2 = temp("v2file");
-        detector(PagedBackend::save(&v2, 1 << 20))
-            .run(&doc, &schema, "M")
-            .unwrap();
-        let data = std::fs::read(&v2).unwrap();
-        let err = crate::backend::snapshot_from_bytes(&data, &HashMap::new(), 0).unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("paged format (version 2)"), "{msg}");
-        assert!(msg.contains("version 1"), "{msg}");
+        let mut image = std::fs::read(&path).unwrap();
+        image[4..8].copy_from_slice(&FLAT_VERSION.to_le_bytes());
+        std::fs::write(&path, &image).unwrap();
+        let errs = [
+            PagedReader::open(&path, 1 << 16).unwrap_err(),
+            decode_image(image, &HashMap::new(), 0).unwrap_err(),
+            detector(SnapshotBackend::load(&path))
+                .run(&doc, &schema, "M")
+                .unwrap_err(),
+        ];
+        for err in errs {
+            let msg = err.to_string();
+            assert!(matches!(err, DogmatixError::Snapshot { .. }), "{msg}");
+            assert!(msg.contains("version 1"), "{msg}");
+            assert!(msg.contains("version 2"), "{msg}");
+            assert!(msg.contains("re-save"), "{msg}");
+        }
     }
 }

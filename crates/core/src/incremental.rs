@@ -702,30 +702,29 @@ impl IncrementalSession {
         Some((&prev.ods, selections))
     }
 
-    /// Exports the session's current term index as a paged (v2) snapshot
-    /// at `path`, installed atomically (tmp + rename). Unlike a WAL
-    /// checkpoint — which embeds a flat v1 image inside the log — this
-    /// writes a standalone file that [`crate::backend::paged::PagedBackend`]
-    /// or `--index-paged` can later serve under a memory budget.
+    /// Exports the session's current term index as a snapshot file at
+    /// `path` (the DXTS v2 format WAL checkpoints also embed), installed
+    /// atomically (tmp + rename). [`crate::backend::SnapshotBackend`] —
+    /// `--index-load`, with `--mem-budget` for a bounded pool — can
+    /// later warm-start from it.
     ///
     /// Only a *clean* session can be exported: the store must describe
     /// the current document, so pending deltas (or a session that never
     /// ran a detection) are an error, not a silently stale dump. Returns
     /// the size of the written image in bytes.
-    pub fn save_paged_index(&self, path: &std::path::Path) -> Result<u64, DogmatixError> {
+    pub fn save_index(&self, path: &std::path::Path) -> Result<u64, DogmatixError> {
         let (ods, selections) = self.clean_store().ok_or_else(|| DogmatixError::Snapshot {
             message: "cannot export the term index: the session has pending deltas \
                           or no completed detection — run a detection first"
                 .into(),
         })?;
-        let image = crate::backend::paged::paged_snapshot_to_bytes(
+        crate::backend::paged::save_snapshot(
             ods,
             &selections,
             crate::backend::doc_fingerprint(self.doc()),
+            path,
             crate::backend::paged::DEFAULT_PAGE_SIZE,
-        )?;
-        crate::backend::atomic_write(path, &image)?;
-        Ok(image.len() as u64)
+        )
     }
 
     /// Prefills the per-candidate extraction cache from a

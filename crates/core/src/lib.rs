@@ -87,6 +87,7 @@ pub mod baseline;
 pub mod candidate;
 pub mod classify;
 pub mod cluster;
+mod codec;
 pub mod error;
 mod exec;
 pub mod filter;

@@ -1,6 +1,6 @@
 //! A pinned buffer pool for page-granular snapshot access.
 //!
-//! [`crate::backend::paged::PagedBackend`] reads DXTS **v2** snapshots
+//! [`crate::backend::SnapshotBackend`] reads DXTS **v2** snapshots
 //! through this pool instead of slurping the file into RAM: the v2
 //! format (see [`crate::backend::paged`]) splits every store column
 //! into fixed-size pages, and the pool keeps at most

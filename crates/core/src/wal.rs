@@ -7,12 +7,13 @@
 //! materialised view durable: every [`DocumentDelta`] is appended to an
 //! append-only, checksummed log **before** it is applied, and a
 //! periodic *checkpoint* persists the session's base state (document +
-//! the interned term store of the last run, reusing the
-//! [`crate::backend`] snapshot format). Recovery loads the latest
-//! checkpoint and replays the log suffix — by the differential
-//! guarantee of the incremental pipeline (incremental == batch,
-//! `tests/incremental.rs`), the recovered session is **bit-identical**
-//! to the uninterrupted one: same verdicts, same clusters.
+//! the interned term store of the last run, as an embedded DXTS v2
+//! snapshot image — the [`crate::backend::paged`] format). Recovery
+//! loads the latest checkpoint and replays the log suffix — by the
+//! differential guarantee of the incremental pipeline (incremental ==
+//! batch, `tests/incremental.rs`), the recovered session is
+//! **bit-identical** to the uninterrupted one: same verdicts, same
+//! clusters.
 //!
 //! ## Log format (version 1)
 //!
@@ -25,10 +26,12 @@
 //!          checksum u64 LE FNV-1a + splitmix64 over magic..payload
 //! ```
 //!
-//! A crash can tear the tail frame (short write) or corrupt it (torn
-//! sector). Replay walks frames until the first one whose bounds,
-//! magic, LSN monotonicity, checksum, or payload decoding fails — the
-//! valid prefix is kept, the tail is **dropped and truncated away**,
+//! Frames, checkpoints and snapshot pages share one little-endian codec
+//! and one checksum. A crash can tear the tail frame (short write) or
+//! corrupt it (torn sector). Replay walks frames until the first one
+//! whose bounds, magic, LSN monotonicity, checksum, or payload decoding
+//! fails — the valid prefix is kept, the tail is **dropped and
+//! truncated away**,
 //! and the tear is reported as a structured [`DogmatixError::Wal`] in
 //! [`RecoveryReport::dropped_tail`], never a panic and never a failed
 //! recovery. Corruption *before* the last valid frame is
@@ -38,14 +41,15 @@
 //!
 //! ## Checkpoints
 //!
-//! [`Wal::checkpoint`] writes `<log>.ckpt` (atomically: temp file,
-//! fsync, rename) holding the LSN, the session kind (real-world type +
-//! schema mode), the full document, and — when the session is clean —
-//! the interned store as an embedded [`crate::backend`] snapshot image
-//! (magic `DXCK` wraps it). The log is then truncated: recovery costs
-//! O(deltas since last checkpoint), not O(history). Loading validates
-//! the checkpoint checksum, the embedded snapshot's own checksum and
-//! audit, and the document fingerprint binding the two.
+//! [`Wal::checkpoint`] writes `<log>.ckpt` — installed through the
+//! same atomic temp-file/fsync/rename path as snapshot files — holding
+//! the LSN, the session kind (real-world type + schema mode), the full
+//! document, and — when the session is clean — the interned store as an
+//! embedded v2 snapshot image at the default page size (magic `DXCK`
+//! wraps it). The log is then truncated: recovery costs O(deltas since
+//! last checkpoint), not O(history). Loading validates the checkpoint
+//! checksum, the embedded snapshot's page checksums and audit, and the
+//! document fingerprint binding the two.
 //!
 //! ## Fsync policy and group commit
 //!
@@ -85,7 +89,9 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::backend::{checksum, doc_fingerprint, snapshot_from_bytes, snapshot_to_bytes};
+use crate::backend::paged::{decode_image, paged_snapshot_to_bytes, DEFAULT_PAGE_SIZE};
+use crate::backend::{atomic_write, attach_candidates, doc_fingerprint};
+use crate::codec::{checksum, put_str, put_u32, put_u64, Reader};
 use crate::error::DogmatixError;
 use crate::incremental::{DocumentDelta, IncrementalSession};
 use crate::mapping::Mapping;
@@ -188,7 +194,7 @@ impl Wal {
             .map_err(|e| wal_err(format!("cannot create log {}: {e}", path.display())))?;
         let mut header = Vec::with_capacity(LOG_HEADER_LEN as usize);
         header.extend_from_slice(LOG_MAGIC);
-        header.extend_from_slice(&WAL_VERSION.to_le_bytes());
+        put_u32(&mut header, WAL_VERSION);
         file.write_all(&header)
             .and_then(|()| file.sync_data())
             .map_err(|e| wal_err(format!("cannot write log header {}: {e}", path.display())))?;
@@ -239,12 +245,12 @@ impl Wal {
         let lsn = self.next_lsn;
         let payload = encode_delta(delta);
         let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len() + 8);
-        frame.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
-        frame.extend_from_slice(&lsn.to_le_bytes());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        put_u32(&mut frame, FRAME_MAGIC);
+        put_u64(&mut frame, lsn);
+        put_u32(&mut frame, payload.len() as u32);
         frame.extend_from_slice(&payload);
         let sum = checksum(&frame);
-        frame.extend_from_slice(&sum.to_le_bytes());
+        put_u64(&mut frame, sum);
         self.file
             .write_all(&frame)
             .map_err(|e| wal_err(format!("cannot append to log {}: {e}", self.path.display())))?;
@@ -378,25 +384,17 @@ fn recover_at(
         IncrementalSession::new(doc, schema, mapping, &ckpt.rw_type)?
     };
 
-    if let Some(store) = &ckpt.store {
-        let mut ods = snapshot_from_bytes(
-            &store.snapshot,
-            &store.selections,
-            doc_fingerprint(session.doc()),
-        )
-        .map_err(|e| wal_err(format!("checkpoint store snapshot rejected: {e}")))?;
-        let stored = ods.store().object_count();
-        if stored != session.candidates().len() {
-            return Err(wal_err(format!(
-                "checkpoint store holds {stored} objects but the checkpoint document resolves {} \
-                 candidates",
-                session.candidates().len()
-            )));
-        }
+    if let Some(store) = ckpt.store {
         // The snapshot carries no node ids; re-attach the freshly
         // selected candidates (row i of the store was built from
         // candidate i — both follow document order).
-        ods.set_nodes(session.candidates().nodes.clone());
+        let ods = decode_image(
+            store.snapshot,
+            &store.selections,
+            doc_fingerprint(session.doc()),
+        )
+        .and_then(|ods| attach_candidates(ods, &session.candidates().nodes))
+        .map_err(|e| wal_err(format!("checkpoint store snapshot rejected: {e}")))?;
         session.prefill_extraction(&ods, &store.selections);
     }
 
@@ -478,13 +476,14 @@ fn scan_log(path: &Path, checkpoint_lsn: u64) -> Result<LogScan, DogmatixError> 
             dropped_tail: None,
         });
     }
-    if data.len() < LOG_HEADER_LEN as usize || &data[0..4] != LOG_MAGIC {
+    let mut r = Reader::new(&data, "log header");
+    let header = r.take(4).ok().filter(|m| *m == LOG_MAGIC);
+    let Some(version) = header.and_then(|_| r.u32().ok()) else {
         return Err(wal_err(format!(
             "{} is not a DogmatiX write-ahead log (bad header magic)",
             path.display()
         )));
-    }
-    let version = u32::from_le_bytes([data[4], data[5], data[6], data[7]]);
+    };
     if version != WAL_VERSION {
         return Err(wal_err(format!(
             "unsupported log version {version} (this build reads {WAL_VERSION})"
@@ -527,38 +526,27 @@ fn read_frame(
     pos: usize,
     prev_lsn: u64,
 ) -> Result<(u64, DocumentDelta, usize), String> {
-    let header = data
-        .get(pos..pos + FRAME_HEADER_LEN)
-        .ok_or("frame header truncated")?;
-    let magic = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
+    let frame = &data[pos..];
+    let mut r = Reader::new(frame, "frame");
+    let magic = r.u32()?;
     if magic != FRAME_MAGIC {
         return Err(format!("bad frame magic {magic:#010x}"));
     }
-    let lsn = u64::from_le_bytes([
-        header[4], header[5], header[6], header[7], header[8], header[9], header[10], header[11],
-    ]);
+    let lsn = r.u64()?;
     if lsn <= prev_lsn {
         return Err(format!("LSN {lsn} not after previous LSN {prev_lsn}"));
     }
-    let len = u32::from_le_bytes([header[12], header[13], header[14], header[15]]);
+    let len = r.u32()?;
     if len > MAX_FRAME_LEN {
         return Err(format!("implausible frame length {len}"));
     }
-    let payload_end = pos + FRAME_HEADER_LEN + len as usize;
-    let payload = data
-        .get(pos + FRAME_HEADER_LEN..payload_end)
-        .ok_or("frame payload truncated")?;
-    let stored = data
-        .get(payload_end..payload_end + 8)
-        .ok_or("frame checksum truncated")?;
-    let stored = u64::from_le_bytes([
-        stored[0], stored[1], stored[2], stored[3], stored[4], stored[5], stored[6], stored[7],
-    ]);
-    if checksum(&data[pos..payload_end]) != stored {
+    let payload = r.take(len as usize)?;
+    let summed = r.pos();
+    if checksum(&frame[..summed]) != r.u64()? {
         return Err("frame checksum mismatch".to_string());
     }
     let delta = decode_delta(payload)?;
-    Ok((lsn, delta, payload_end + 8))
+    Ok((lsn, delta, pos + r.pos()))
 }
 
 // ---- delta codec ------------------------------------------------------
@@ -568,22 +556,17 @@ fn read_frame(
 // the identity. Tag byte + u64 LE integers + u32-length-prefixed UTF-8
 // strings round-trip every delta exactly.
 
-fn push_str(buf: &mut Vec<u8>, s: &str) {
-    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    buf.extend_from_slice(s.as_bytes());
-}
-
 fn encode_delta(delta: &DocumentDelta) -> Vec<u8> {
     let mut buf = Vec::new();
     match delta {
         DocumentDelta::InsertXml { parent_path, xml } => {
             buf.push(0);
-            push_str(&mut buf, parent_path);
-            push_str(&mut buf, xml);
+            put_str(&mut buf, parent_path);
+            put_str(&mut buf, xml);
         }
         DocumentDelta::RemoveObject { index } => {
             buf.push(1);
-            buf.extend_from_slice(&(*index as u64).to_le_bytes());
+            put_u64(&mut buf, *index as u64);
         }
         DocumentDelta::UpdateText {
             index,
@@ -592,10 +575,10 @@ fn encode_delta(delta: &DocumentDelta) -> Vec<u8> {
             value,
         } => {
             buf.push(2);
-            buf.extend_from_slice(&(*index as u64).to_le_bytes());
-            push_str(&mut buf, path);
-            buf.extend_from_slice(&(*occurrence as u64).to_le_bytes());
-            push_str(&mut buf, value);
+            put_u64(&mut buf, *index as u64);
+            put_str(&mut buf, path);
+            put_u64(&mut buf, *occurrence as u64);
+            put_str(&mut buf, value);
         }
         DocumentDelta::InsertUnder {
             index,
@@ -604,10 +587,10 @@ fn encode_delta(delta: &DocumentDelta) -> Vec<u8> {
             xml,
         } => {
             buf.push(3);
-            buf.extend_from_slice(&(*index as u64).to_le_bytes());
-            push_str(&mut buf, path);
-            buf.extend_from_slice(&(*occurrence as u64).to_le_bytes());
-            push_str(&mut buf, xml);
+            put_u64(&mut buf, *index as u64);
+            put_str(&mut buf, path);
+            put_u64(&mut buf, *occurrence as u64);
+            put_str(&mut buf, xml);
         }
         DocumentDelta::RemoveElement {
             index,
@@ -615,72 +598,43 @@ fn encode_delta(delta: &DocumentDelta) -> Vec<u8> {
             occurrence,
         } => {
             buf.push(4);
-            buf.extend_from_slice(&(*index as u64).to_le_bytes());
-            push_str(&mut buf, path);
-            buf.extend_from_slice(&(*occurrence as u64).to_le_bytes());
+            put_u64(&mut buf, *index as u64);
+            put_str(&mut buf, path);
+            put_u64(&mut buf, *occurrence as u64);
         }
     }
     buf
 }
 
-struct PayloadReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> PayloadReader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or("delta payload truncated")?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-    fn u64(&mut self) -> Result<usize, String> {
-        let b = self.take(8)?;
-        let v = u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]);
-        usize::try_from(v).map_err(|_| format!("delta index {v} exceeds usize"))
-    }
-    fn str(&mut self) -> Result<String, String> {
-        let b = self.take(4)?;
-        let n = u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-        let raw = self.take(n as usize)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| "delta string is not UTF-8".to_string())
-    }
-}
-
 fn decode_delta(payload: &[u8]) -> Result<DocumentDelta, String> {
     let (&tag, rest) = payload.split_first().ok_or("empty delta payload")?;
-    let mut r = PayloadReader { buf: rest, pos: 0 };
+    let mut r = Reader::new(rest, "delta payload");
     let delta = match tag {
         0 => DocumentDelta::InsertXml {
             parent_path: r.str()?,
             xml: r.str()?,
         },
-        1 => DocumentDelta::RemoveObject { index: r.u64()? },
+        1 => DocumentDelta::RemoveObject { index: r.usize()? },
         2 => DocumentDelta::UpdateText {
-            index: r.u64()?,
+            index: r.usize()?,
             path: r.str()?,
-            occurrence: r.u64()?,
+            occurrence: r.usize()?,
             value: r.str()?,
         },
         3 => DocumentDelta::InsertUnder {
-            index: r.u64()?,
+            index: r.usize()?,
             path: r.str()?,
-            occurrence: r.u64()?,
+            occurrence: r.usize()?,
             xml: r.str()?,
         },
         4 => DocumentDelta::RemoveElement {
-            index: r.u64()?,
+            index: r.usize()?,
             path: r.str()?,
-            occurrence: r.u64()?,
+            occurrence: r.usize()?,
         },
         other => return Err(format!("unknown delta tag {other}")),
     };
-    if r.pos != r.buf.len() {
+    if !r.is_done() {
         return Err("trailing bytes after delta payload".to_string());
     }
     Ok(delta)
@@ -690,8 +644,8 @@ fn decode_delta(payload: &[u8]) -> Result<DocumentDelta, String> {
 
 struct CheckpointStore {
     selections: HashMap<String, BTreeSet<String>>,
-    /// A complete `crate::backend` snapshot image (its own header,
-    /// checksum, and payload).
+    /// A complete v2 snapshot image (its own header, directory, page
+    /// checksums, and pages).
     snapshot: Vec<u8>,
 }
 
@@ -710,34 +664,39 @@ fn checkpoint_path(log: &Path) -> PathBuf {
     PathBuf::from(name)
 }
 
-/// Serialises and atomically installs (temp file, fsync, rename) the
-/// checkpoint for `session` claiming coverage up to `lsn`.
+/// Serialises and atomically installs ([`atomic_write`]) the checkpoint
+/// for `session` claiming coverage up to `lsn`.
 fn write_checkpoint(
     log_path: &Path,
     session: &IncrementalSession,
     lsn: u64,
 ) -> Result<(), DogmatixError> {
     let mut payload = Vec::new();
-    payload.extend_from_slice(&lsn.to_le_bytes());
-    push_str(&mut payload, session.rw_type());
+    put_u64(&mut payload, lsn);
+    put_str(&mut payload, session.rw_type());
     payload.push(session.infers_schema() as u8);
-    push_str(&mut payload, &session.doc().to_xml());
+    put_str(&mut payload, &session.doc().to_xml());
     match session.clean_store() {
         Some((ods, selections)) => {
             payload.push(1);
             let mut keys: Vec<&String> = selections.keys().collect();
             keys.sort();
-            payload.extend_from_slice(&(keys.len() as u64).to_le_bytes());
+            put_u64(&mut payload, keys.len() as u64);
             for key in keys {
-                push_str(&mut payload, key);
+                put_str(&mut payload, key);
                 let sel = &selections[key];
-                payload.extend_from_slice(&(sel.len() as u64).to_le_bytes());
+                put_u64(&mut payload, sel.len() as u64);
                 for p in sel {
-                    push_str(&mut payload, p);
+                    put_str(&mut payload, p);
                 }
             }
-            let image = snapshot_to_bytes(ods, &selections, doc_fingerprint(session.doc()))?;
-            payload.extend_from_slice(&(image.len() as u64).to_le_bytes());
+            let image = paged_snapshot_to_bytes(
+                ods,
+                &selections,
+                doc_fingerprint(session.doc()),
+                DEFAULT_PAGE_SIZE,
+            )?;
+            put_u64(&mut payload, image.len() as u64);
             payload.extend_from_slice(&image);
         }
         None => payload.push(0),
@@ -745,28 +704,14 @@ fn write_checkpoint(
 
     let mut out = Vec::with_capacity(payload.len() + 24);
     out.extend_from_slice(CKPT_MAGIC);
-    out.extend_from_slice(&WAL_VERSION.to_le_bytes());
-    out.extend_from_slice(&checksum(&payload).to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    put_u32(&mut out, WAL_VERSION);
+    put_u64(&mut out, checksum(&payload));
+    put_u64(&mut out, payload.len() as u64);
     out.extend_from_slice(&payload);
 
     let path = checkpoint_path(log_path);
-    let tmp = checkpoint_path(log_path).with_extension("ckpt.tmp");
-    let write = || -> std::io::Result<()> {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&out)?;
-        f.sync_all()?;
-        std::fs::rename(&tmp, &path)?;
-        // Make the rename itself durable where the platform allows
-        // directory fsync; best-effort elsewhere.
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            if let Ok(d) = std::fs::File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
-        Ok(())
-    };
-    write().map_err(|e| wal_err(format!("cannot write checkpoint {}: {e}", path.display())))
+    atomic_write(&path, &out)
+        .map_err(|e| wal_err(format!("cannot write checkpoint {}: {e}", path.display())))
 }
 
 /// Reads and validates the checkpoint file. Any corruption here is
@@ -774,55 +719,51 @@ fn write_checkpoint(
 fn read_checkpoint(path: &Path) -> Result<Checkpoint, DogmatixError> {
     let data = std::fs::read(path)
         .map_err(|e| wal_err(format!("cannot read checkpoint {}: {e}", path.display())))?;
-    if data.len() < 24 || &data[0..4] != CKPT_MAGIC {
+    let fail = |e: String| wal_err(format!("checkpoint corrupted: {e}"));
+    let mut r = Reader::new(&data, "checkpoint header");
+    if r.take(4).ok() != Some(CKPT_MAGIC.as_slice()) {
         return Err(wal_err(format!(
             "{} is not a DogmatiX checkpoint (bad magic)",
             path.display()
         )));
     }
-    let version = u32::from_le_bytes([data[4], data[5], data[6], data[7]]);
+    let version = r.u32().map_err(fail)?;
     if version != WAL_VERSION {
         return Err(wal_err(format!(
             "unsupported checkpoint version {version} (this build reads {WAL_VERSION})"
         )));
     }
-    let stored = u64::from_le_bytes([
-        data[8], data[9], data[10], data[11], data[12], data[13], data[14], data[15],
-    ]);
-    let payload_len = u64::from_le_bytes([
-        data[16], data[17], data[18], data[19], data[20], data[21], data[22], data[23],
-    ]) as usize;
-    let payload = data
-        .get(24..)
-        .filter(|p| p.len() == payload_len)
-        .ok_or_else(|| wal_err("checkpoint truncated: payload shorter than header claims"))?;
+    let stored = r.u64().map_err(fail)?;
+    let payload_len = r.u64().map_err(fail)?;
+    let payload = &data[r.pos()..];
+    if payload.len() as u64 != payload_len {
+        return Err(wal_err(
+            "checkpoint truncated: payload shorter than header claims",
+        ));
+    }
     if checksum(payload) != stored {
         return Err(wal_err("checkpoint corrupted: checksum mismatch"));
     }
 
-    let fail = |e: String| wal_err(format!("checkpoint corrupted: {e}"));
-    let mut r = PayloadReader {
-        buf: payload,
-        pos: 0,
-    };
-    let lsn = r.u64().map_err(fail)? as u64;
+    let mut r = Reader::new(payload, "checkpoint payload");
+    let lsn = r.u64().map_err(fail)?;
     let rw_type = r.str().map_err(fail)?;
-    let infer_schema = r.take(1).map_err(fail)?[0] != 0;
+    let infer_schema = r.u8().map_err(fail)? != 0;
     let doc_xml = r.str().map_err(fail)?;
-    let has_store = r.take(1).map_err(fail)?[0] != 0;
+    let has_store = r.u8().map_err(fail)? != 0;
     let store = if has_store {
-        let n = r.u64().map_err(fail)?;
-        let mut selections = HashMap::with_capacity(n);
+        let n = r.usize().map_err(fail)?;
+        let mut selections = HashMap::new();
         for _ in 0..n {
             let key = r.str().map_err(fail)?;
-            let count = r.u64().map_err(fail)?;
+            let count = r.usize().map_err(fail)?;
             let mut sel = BTreeSet::new();
             for _ in 0..count {
                 sel.insert(r.str().map_err(fail)?);
             }
             selections.insert(key, sel);
         }
-        let image_len = r.u64().map_err(fail)?;
+        let image_len = r.usize().map_err(fail)?;
         let snapshot = r.take(image_len).map_err(fail)?.to_vec();
         Some(CheckpointStore {
             selections,
@@ -831,7 +772,7 @@ fn read_checkpoint(path: &Path) -> Result<Checkpoint, DogmatixError> {
     } else {
         None
     };
-    if r.pos != payload.len() {
+    if !r.is_done() {
         return Err(wal_err(
             "checkpoint corrupted: trailing bytes after payload",
         ));

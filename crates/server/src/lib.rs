@@ -50,9 +50,9 @@
 //! logged, fsynced, and applied before the writer exits, never dropped.
 //!
 //! `INDEX-SAVE <path>` exports the live session's term index as a
-//! standalone **paged (v2) snapshot** via
-//! [`IncrementalSession::save_paged_index`] — a file the CLI can later
-//! serve under a memory budget with `--index-load --index-paged`. The
+//! standalone **snapshot file** via [`IncrementalSession::save_index`]
+//! — a file the CLI can later warm-start from with `--index-load`
+//! (under a memory budget with `--mem-budget <bytes>`). The
 //! request rides the writer queue like `CHECKPOINT`, so it observes a
 //! batch boundary: the exported index always describes a fully applied,
 //! clean session state.
@@ -133,7 +133,7 @@ enum WriterMsg {
     /// A `CHECKPOINT` request; the writer answers with the covered LSN.
     Checkpoint(Sender<Result<u64, DogmatixError>>),
     /// An `INDEX-SAVE` request: export the clean session store as a
-    /// paged (v2) snapshot; the writer answers with the written bytes.
+    /// snapshot file; the writer answers with the written bytes.
     IndexSave {
         path: PathBuf,
         reply: Sender<Result<u64, DogmatixError>>,
@@ -444,9 +444,9 @@ fn writer_loop(
         }
         for (path, reply) in index_saves {
             // Runs after the batch above, so the session is at a batch
-            // boundary: `save_paged_index` sees the clean store of the
+            // boundary: `save_index` sees the clean store of the
             // detection that batch published.
-            let _ = reply.send(session.save_paged_index(&path));
+            let _ = reply.send(session.save_index(&path));
         }
     }
     // Whatever the exit path, nothing acknowledged may be un-synced.

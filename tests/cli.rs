@@ -465,15 +465,14 @@ fn probe_conflicts_with_deltas() {
 }
 
 #[test]
-fn index_paged_save_then_load_produces_identical_output() {
+fn index_load_under_a_mem_budget_produces_identical_output() {
     let paths = write_sample();
-    let index = paths.dir.join("movies.dxts2");
+    let index = paths.dir.join("movies.dxts");
     let save_out = dogmatix()
         .arg(&paths.input)
         .args(["--type", "MOVIE"])
         .args(["--mapping", paths.mapping.to_str().unwrap()])
         .args(["--index-save", index.to_str().unwrap()])
-        .arg("--index-paged")
         .args(["--output", paths.output.to_str().unwrap()])
         .output()
         .expect("binary runs");
@@ -482,25 +481,24 @@ fn index_paged_save_then_load_produces_identical_output() {
         "{}",
         String::from_utf8_lossy(&save_out.stderr)
     );
-    assert!(String::from_utf8_lossy(&save_out.stderr).contains("paged (v2)"));
-    let image = std::fs::read(&index).expect("paged snapshot written");
+    let image = std::fs::read(&index).expect("snapshot written");
     assert_eq!(&image[0..4], b"DXTS", "magic");
     assert_eq!(
         u32::from_le_bytes([image[4], image[5], image[6], image[7]]),
         2,
-        "paged snapshots carry format version 2"
+        "snapshots carry format version 2"
     );
     let cold = std::fs::read_to_string(&paths.output).expect("output written");
 
     // Warm start through the buffer pool under a deliberately small
     // budget (two 4 KiB frames) — must still be bit-identical.
-    let warm_path = paths.dir.join("warm-paged.xml");
+    let warm_path = paths.dir.join("warm-budgeted.xml");
     let load_out = dogmatix()
         .arg(&paths.input)
         .args(["--type", "MOVIE"])
         .args(["--mapping", paths.mapping.to_str().unwrap()])
         .args(["--index-load", index.to_str().unwrap()])
-        .args(["--index-paged", "--mem-budget", "8192"])
+        .args(["--mem-budget", "8192"])
         .args(["--output", warm_path.to_str().unwrap()])
         .output()
         .expect("binary runs");
@@ -511,63 +509,45 @@ fn index_paged_save_then_load_produces_identical_output() {
     );
     assert!(String::from_utf8_lossy(&load_out.stderr).contains("pool budget"));
     let warm = std::fs::read_to_string(&warm_path).expect("warm output written");
-    assert_eq!(cold, warm, "paged warm start must be bit-identical");
-
-    // Version compatibility: the flat loader reads v2 files too.
-    let compat_path = paths.dir.join("warm-compat.xml");
-    let compat_out = dogmatix()
-        .arg(&paths.input)
-        .args(["--type", "MOVIE"])
-        .args(["--mapping", paths.mapping.to_str().unwrap()])
-        .args(["--index-load", index.to_str().unwrap()])
-        .args(["--output", compat_path.to_str().unwrap()])
-        .output()
-        .expect("binary runs");
-    assert!(
-        compat_out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&compat_out.stderr)
-    );
-    let compat = std::fs::read_to_string(&compat_path).expect("compat output written");
-    assert_eq!(cold, compat, "v2 file via plain --index-load diverged");
+    assert_eq!(cold, warm, "budgeted warm start must be bit-identical");
     let _ = std::fs::remove_dir_all(&paths.dir);
 }
 
 #[test]
 fn paged_flags_are_validated() {
     let paths = write_sample();
-    // --index-paged without a snapshot flag is meaningless.
-    let out = dogmatix()
-        .arg(&paths.input)
-        .args(["--type", "MOVIE"])
-        .arg("--index-paged")
-        .output()
-        .expect("binary runs");
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr)
-        .contains("--index-paged needs --index-save or --index-load"));
-
-    // --mem-budget only modifies --index-paged.
-    let out = dogmatix()
-        .arg(&paths.input)
-        .args(["--type", "MOVIE"])
-        .args(["--index-save", "a.index", "--mem-budget", "8192"])
-        .output()
-        .expect("binary runs");
-    assert!(!out.status.success());
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("--mem-budget only applies to --index-paged")
-    );
+    // --mem-budget only qualifies --index-load.
+    for extra in [&["--index-save", "a.index"][..], &[]] {
+        let out = dogmatix()
+            .arg(&paths.input)
+            .args(["--type", "MOVIE"])
+            .args(extra)
+            .args(["--mem-budget", "8192"])
+            .output()
+            .expect("binary runs");
+        assert!(!out.status.success());
+        assert!(String::from_utf8_lossy(&out.stderr)
+            .contains("--mem-budget only applies to --index-load"));
+    }
 
     // Non-numeric budgets are named, not panicked over.
     let out = dogmatix()
         .arg(&paths.input)
         .args(["--type", "MOVIE"])
-        .args(["--index-save", "a.index", "--index-paged"])
+        .args(["--index-load", "a.index"])
         .args(["--mem-budget", "lots"])
         .output()
         .expect("binary runs");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--mem-budget must be a byte count"));
+
+    // The retired format switch is an unknown flag now.
+    let out = dogmatix()
+        .arg(&paths.input)
+        .args(["--type", "MOVIE", "--index-paged"])
+        .output()
+        .expect("binary runs");
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--index-paged"));
     let _ = std::fs::remove_dir_all(&paths.dir);
 }

@@ -451,13 +451,13 @@ fn edit_kernel_equivalence_on_both_corpora() {
     }
 }
 
-/// The paged (v2) backend is an out-of-core drop-in: on both corpora,
-/// sequential and threaded, its results are bit-identical to the
-/// in-memory build while its buffer pool provably stays under a budget
-/// smaller than the snapshot it serves.
+/// A budgeted snapshot load is an out-of-core drop-in: on both
+/// corpora, sequential and threaded, its results are bit-identical to
+/// the in-memory build while its buffer pool provably stays under a
+/// budget smaller than the snapshot it serves.
 #[test]
 fn paged_backend_equivalence_on_both_corpora() {
-    use dogmatix_repro::core::backend::paged::PagedBackend;
+    use dogmatix_repro::core::backend::SnapshotBackend;
     use std::sync::Arc;
 
     let cd = {
@@ -487,7 +487,7 @@ fn paged_backend_equivalence_on_both_corpora() {
             "dogmatix-equivalence-paged-{}-{tag}.dxts2",
             std::process::id()
         ));
-        let build = |backend: Option<Arc<PagedBackend>>, threads: usize| {
+        let build = |backend: Option<Arc<SnapshotBackend>>, threads: usize| {
             let mut b = Dogmatix::builder()
                 .mapping(mapping.clone())
                 .heuristic(heuristic.clone())
@@ -501,9 +501,7 @@ fn paged_backend_equivalence_on_both_corpora() {
         };
         let reference = build(None, 1);
         let saved = build(
-            Some(Arc::new(
-                PagedBackend::save(&path, BUDGET).with_page_size(512),
-            )),
+            Some(Arc::new(SnapshotBackend::save(&path).with_page_size(512))),
             1,
         );
         assert_eq!(reference, saved, "{tag}: paged save path diverged");
@@ -514,7 +512,7 @@ fn paged_backend_equivalence_on_both_corpora() {
              for the test to exercise eviction"
         );
         for threads in [1usize, 2, 0] {
-            let backend = Arc::new(PagedBackend::open(&path, BUDGET));
+            let backend = Arc::new(SnapshotBackend::load(&path).with_budget(BUDGET));
             let warm = build(Some(backend.clone()), threads);
             assert_eq!(
                 reference, warm,

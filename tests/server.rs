@@ -365,8 +365,15 @@ fn movie_probe_verdicts_equal_batch_verdicts() {
 
 #[test]
 fn interleaved_probes_and_ingest_agree_with_batch_at_the_served_snapshot() {
+    // Each worker serves one connection for its lifetime, so the pool
+    // must cover every connection this test holds open at once — the
+    // probers, the stats prober and the ingest client. One short, and
+    // whichever connects last is queued behind connections that never
+    // close (or shed with `ERR overloaded` if the workers are slow to
+    // pick up the queue).
+    let probe_threads = 3;
     let config = ServerConfig {
-        workers: 4,
+        workers: probe_threads + 2,
         blocking: qgram_blocking(),
         ..ServerConfig::default()
     };
@@ -389,7 +396,7 @@ fn interleaved_probes_and_ingest_agree_with_batch_at_the_served_snapshot() {
     let stop = Arc::new(AtomicBool::new(false));
     let addr = handle.addr();
     let mut probers = Vec::new();
-    for (t, fragment) in fragments.iter().take(3).cloned().enumerate() {
+    for (t, fragment) in fragments.iter().take(probe_threads).cloned().enumerate() {
         let stop = Arc::clone(&stop);
         probers.push(
             std::thread::Builder::new()

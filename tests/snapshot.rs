@@ -4,16 +4,22 @@
 //! * **round trip** — build store → save → load → detection output
 //!   bit-identical to the in-memory build, on the seeded CD and movie
 //!   corpora, sequential and threaded;
-//! * **robustness** — corrupted, truncated, and wrong-version snapshot
-//!   files are rejected with a `DogmatixError::Snapshot` and never
-//!   panic, for *every* byte position (flip) and prefix length
-//!   (truncation) the property cases sample.
+//! * **robustness** — corrupted, truncated, padded, and wrong-version
+//!   snapshot files (the retired flat version 1 included) are rejected
+//!   with a `DogmatixError::Snapshot` and never panic, for *every* byte
+//!   position (flip) and prefix length (truncation) the property cases
+//!   sample, at the default page size and at small pages, unbounded and
+//!   under a pool budget;
+//! * **format pin** — golden checksums of the v2 image of two fixed
+//!   corpora, so files written by earlier builds keep loading.
 //!
 //! The number of property cases honours the `PROPTEST_CASES` override
 //! (ci.sh raises it to 128).
 
-use dogmatix_repro::core::backend::paged::{PagedBackend, PagedReader};
-use dogmatix_repro::core::backend::{SnapshotBackend, TermIndexBackend};
+use dogmatix_repro::core::backend::paged::{
+    paged_snapshot_to_bytes, PagedReader, DEFAULT_PAGE_SIZE,
+};
+use dogmatix_repro::core::backend::SnapshotBackend;
 use dogmatix_repro::core::heuristics::{table4_heuristic, HeuristicExpr};
 use dogmatix_repro::core::pipeline::{DetectionResult, Dogmatix};
 use dogmatix_repro::core::store::pool::{BlockId, BufferPool, PageSource};
@@ -126,7 +132,9 @@ fn snapshot_reload_across_detector_instances_matches() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// A reference snapshot built once for the corruption properties.
+/// A reference snapshot at the default page size, built once for the
+/// corruption properties: every section fits one page, so most of the
+/// file is in-page zero padding.
 fn reference_snapshot() -> (Corpus, Vec<u8>) {
     let corpus = cd_corpus();
     let path = temp_path(&format!(
@@ -213,39 +221,92 @@ proptest! {
     }
 }
 
+/// Relabels `bytes` as `version` and loads it through every entry
+/// point — the unbounded and budgeted backends, the point reader and
+/// the CLI's `--index-load` — returning each one's error message. Every
+/// load must fail with a `DogmatixError::Snapshot` (a clean CLI error,
+/// never a panic).
+fn version_rejections(corpus: &Corpus, bytes: &[u8], version: u32) -> Vec<String> {
+    let path = temp_path(&format!("version-{version}"));
+    let xml = temp_path(&format!("version-{version}-corpus"));
+    std::fs::write(&xml, corpus.doc.to_xml()).expect("write corpus");
+    let mut mutated = bytes.to_vec();
+    mutated[4..8].copy_from_slice(&version.to_le_bytes());
+    std::fs::write(&path, &mutated).expect("write");
+    let load = |backend| {
+        detector(corpus, Some(backend), None)
+            .run(&corpus.doc, &corpus.schema, corpus.rw_type)
+            .unwrap_err()
+    };
+    let errs = [
+        load(SnapshotBackend::load(&path)),
+        load(SnapshotBackend::load(&path).with_budget(1 << 20)),
+        PagedReader::open(&path, 1 << 20).unwrap_err(),
+    ];
+    let mut messages: Vec<String> = errs
+        .iter()
+        .map(|err| {
+            assert!(matches!(err, DogmatixError::Snapshot { .. }), "{err}");
+            err.to_string()
+        })
+        .collect();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_dogmatix"))
+        .arg(&xml)
+        .args(["--type", "DISC", "--candidates", "/discs/disc"])
+        .arg("--index-load")
+        .arg(&path)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(!out.status.success(), "CLI loaded version {version}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    messages.push(stderr);
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&xml);
+    messages
+}
+
 #[test]
 fn wrong_version_snapshots_are_rejected() {
+    // Every entry point refuses an unknown version and names both it
+    // and the one it reads.
     let (corpus, bytes) = reference_snapshot();
     for version in [0u32, 7, u32::MAX] {
-        let mut mutated = bytes.clone();
-        mutated[4..8].copy_from_slice(&version.to_le_bytes());
-        let path = temp_path("wrong-version");
-        std::fs::write(&path, &mutated).expect("write");
-        let err = detector(&corpus, Some(SnapshotBackend::load(&path)), None)
-            .run(&corpus.doc, &corpus.schema, corpus.rw_type)
-            .unwrap_err();
-        let _ = std::fs::remove_file(&path);
-        // An unknown version names every version this build CAN read.
-        let msg = err.to_string();
-        assert!(msg.contains(&format!("version {version}")), "{msg}");
+        for msg in version_rejections(&corpus, &bytes, version) {
+            assert!(msg.contains(&format!("version {version}")), "{msg}");
+            assert!(msg.contains("version 2"), "{msg}");
+        }
+    }
+}
+
+#[test]
+fn cross_version_loads_fail_naming_both_versions() {
+    // A file labelled version 1 — the retired flat format — fails
+    // through every reader, naming both versions and saying to re-save.
+    let (corpus, bytes) = reference_snapshot();
+    for msg in version_rejections(&corpus, &bytes, 1) {
         assert!(msg.contains("version 1"), "{msg}");
         assert!(msg.contains("version 2"), "{msg}");
+        assert!(msg.contains("re-save"), "{msg}");
     }
-    // Version 2 is real: relabelling a v1 image as paged routes it to
-    // the paged parser, which rejects the impostor as corrupt rather
-    // than misreading it.
-    let mut mutated = bytes.clone();
-    mutated[4..8].copy_from_slice(&2u32.to_le_bytes());
-    let path = temp_path("forged-v2");
-    std::fs::write(&path, &mutated).expect("write");
-    let err = detector(&corpus, Some(SnapshotBackend::load(&path)), None)
-        .run(&corpus.doc, &corpus.schema, corpus.rw_type)
-        .unwrap_err();
+
+    // A version-2 file at a non-default page size loads through both
+    // load paths, bit-identical to the in-memory run.
+    let (_, v2_bytes) = reference_paged_snapshot();
+    let path = temp_path("cross-version");
+    std::fs::write(&path, &v2_bytes).expect("write v2");
+    let original = run(&corpus, None, None);
+    for backend in [
+        SnapshotBackend::load(&path),
+        SnapshotBackend::load(&path).with_budget(1 << 20),
+    ] {
+        assert_eq!(
+            original,
+            run(&corpus, Some(backend), None),
+            "v2 load diverged"
+        );
+    }
     let _ = std::fs::remove_file(&path);
-    assert!(
-        matches!(err, DogmatixError::Snapshot { .. }),
-        "forged v2 label must be rejected: {err}"
-    );
 }
 
 #[test]
@@ -309,22 +370,10 @@ fn snapshot_against_edited_content_same_shape_is_rejected() {
     );
 }
 
-// ---- paged (v2) snapshots ---------------------------------------------
+// ---- small pages, budgeted loads --------------------------------------
 
-/// Like [`detector`] but over any backend — the paged tests plug in
-/// [`PagedBackend`] where the flat tests use [`SnapshotBackend`].
-fn detector_with(c: &Corpus, backend: impl TermIndexBackend + 'static) -> Dogmatix {
-    Dogmatix::builder()
-        .mapping(c.mapping.clone())
-        .heuristic(c.heuristic.clone())
-        .theta_tuple(setup::THETA_TUPLE)
-        .theta_cand(setup::THETA_CAND)
-        .index_backend(backend)
-        .build()
-}
-
-/// A reference **paged** snapshot built once for the v2 corruption
-/// properties, with small pages so the image spans many pages.
+/// A reference snapshot with small pages, so the image spans many
+/// pages and sections straddle page boundaries.
 fn reference_paged_snapshot() -> (Corpus, Vec<u8>) {
     let corpus = cd_corpus();
     let path = temp_path(&format!(
@@ -334,20 +383,19 @@ fn reference_paged_snapshot() -> (Corpus, Vec<u8>) {
             .unwrap_or("t")
             .replace("::", "-")
     ));
-    detector_with(
+    run(
         &corpus,
-        PagedBackend::save(&path, 1 << 20).with_page_size(512),
-    )
-    .run(&corpus.doc, &corpus.schema, corpus.rw_type)
-    .expect("paged save run");
+        Some(SnapshotBackend::save(&path).with_page_size(512)),
+        None,
+    );
     let bytes = std::fs::read(&path).expect("paged snapshot written");
     let _ = std::fs::remove_file(&path);
     (corpus, bytes)
 }
 
-/// A mutated v2 image must be rejected (or be a no-op mutation) by
-/// BOTH readers: the budgeted [`PagedBackend`] and the
-/// version-dispatching [`SnapshotBackend`].
+/// A mutated image must be rejected (or be a no-op mutation) by BOTH
+/// load paths: the budgeted pool over the file and the unbounded
+/// whole-file read.
 fn assert_paged_mutation_handled(
     corpus: &Corpus,
     original: &DetectionResult,
@@ -364,15 +412,16 @@ fn assert_paged_mutation_handled(
     std::fs::write(&path, mutated).expect("write mutated paged snapshot");
     for (reader, outcome) in [
         (
-            "PagedBackend",
-            detector_with(corpus, PagedBackend::open(&path, 1 << 20)).run(
-                &corpus.doc,
-                &corpus.schema,
-                corpus.rw_type,
-            ),
+            "budgeted",
+            detector(
+                corpus,
+                Some(SnapshotBackend::load(&path).with_budget(1 << 20)),
+                None,
+            )
+            .run(&corpus.doc, &corpus.schema, corpus.rw_type),
         ),
         (
-            "SnapshotBackend",
+            "unbounded",
             detector(corpus, Some(SnapshotBackend::load(&path)), None).run(
                 &corpus.doc,
                 &corpus.schema,
@@ -427,6 +476,44 @@ proptest! {
     }
 }
 
+/// FNV-1a finished with splitmix64 — the snapshot format's checksum.
+fn fnv_mix(bytes: &[u8]) -> u64 {
+    let mut h = dogmatix_repro::textsim::Fnv1a::new();
+    h.update(bytes);
+    dogmatix_repro::textsim::mix64(h.finish())
+}
+
+#[test]
+fn v2_image_bytes_are_pinned_by_golden_checksums() {
+    // The v2 image of two fixed seeded corpora, checksummed whole: any
+    // codec change that moves a single byte of the format fails here,
+    // so v2 files written by earlier builds keep loading.
+    for (tag, corpus, golden) in [
+        ("cd", cd_corpus(), GOLDEN_CD),
+        ("movie", movie_corpus(), GOLDEN_MOVIE),
+    ] {
+        let dx = detector(&corpus, None, None);
+        let session = dx
+            .session(&corpus.doc, &corpus.schema, corpus.rw_type)
+            .expect("session");
+        let selections = session
+            .selections_for(&corpus.heuristic)
+            .expect("selections");
+        let ods = session.object_descriptions(&selections);
+        let image = paged_snapshot_to_bytes(
+            &ods,
+            &selections,
+            fnv_mix(corpus.doc.to_xml().as_bytes()),
+            DEFAULT_PAGE_SIZE,
+        )
+        .expect("encode");
+        assert_eq!(fnv_mix(&image), golden, "{tag}: v2 image bytes changed");
+    }
+}
+
+const GOLDEN_CD: u64 = 17029355321554512330;
+const GOLDEN_MOVIE: u64 = 11008811728051319909;
+
 #[test]
 fn every_data_page_is_checksum_protected() {
     // Flip one byte in EVERY page, one page at a time: the per-page
@@ -441,9 +528,13 @@ fn every_data_page_is_checksum_protected() {
         let mut mutated = bytes.clone();
         mutated[header_len + page * page_size] ^= 0x01;
         std::fs::write(&path, &mutated).expect("write");
-        let err = detector_with(&corpus, PagedBackend::open(&path, 1 << 20))
-            .run(&corpus.doc, &corpus.schema, corpus.rw_type)
-            .unwrap_err();
+        let err = detector(
+            &corpus,
+            Some(SnapshotBackend::load(&path).with_budget(1 << 20)),
+            None,
+        )
+        .run(&corpus.doc, &corpus.schema, corpus.rw_type)
+        .unwrap_err();
         let msg = err.to_string();
         assert!(
             msg.contains("checksum mismatch on block"),
@@ -454,108 +545,41 @@ fn every_data_page_is_checksum_protected() {
 }
 
 #[test]
-fn cross_version_loads_fail_naming_both_versions() {
-    let (corpus, v1_bytes) = reference_snapshot();
-    let (_, v2_bytes) = reference_paged_snapshot();
-    let path = temp_path("cross-version");
-
-    // A flat v1 file through the paged-only readers.
-    std::fs::write(&path, &v1_bytes).expect("write v1");
-    let err = detector_with(&corpus, PagedBackend::open(&path, 1 << 20))
-        .run(&corpus.doc, &corpus.schema, corpus.rw_type)
-        .unwrap_err();
-    let msg = err.to_string();
-    assert!(msg.contains("flat format (version 1)"), "{msg}");
-    assert!(msg.contains("version 2"), "{msg}");
-    assert!(
-        msg.contains("SnapshotBackend"),
-        "points at the right reader: {msg}"
-    );
-    let err = PagedReader::open(&path, 1 << 20).unwrap_err();
-    let msg = err.to_string();
-    assert!(msg.contains("flat format (version 1)"), "{msg}");
-    assert!(msg.contains("version 2"), "{msg}");
-
-    // A paged v2 file through the version-dispatching flat backend
-    // LOADS (compat), bit-identical to the in-memory run.
-    std::fs::write(&path, &v2_bytes).expect("write v2");
-    let original = run(&corpus, None, None);
-    let compat = detector(&corpus, Some(SnapshotBackend::load(&path)), None)
-        .run(&corpus.doc, &corpus.schema, corpus.rw_type)
-        .expect("SnapshotBackend reads v2");
-    assert_eq!(original, compat, "v2-via-SnapshotBackend diverged");
-    let _ = std::fs::remove_file(&path);
-}
-
-#[test]
 fn failed_saves_leave_the_previous_snapshot_intact() {
-    // Satellite regression: a save that dies mid-write (simulated by a
-    // directory squatting on the temp-file name) must not clobber the
-    // previously installed snapshot — for the flat AND paged writers.
+    // A save that dies mid-write (simulated by a directory squatting on
+    // the temp-file name) must not clobber the previously installed
+    // snapshot.
     let corpus = cd_corpus();
     let original = run(&corpus, None, None);
-    for paged in [false, true] {
-        let tag = if paged { "atomic-paged" } else { "atomic-flat" };
-        let path = temp_path(tag);
-        let save_ok = if paged {
-            detector_with(&corpus, PagedBackend::save(&path, 1 << 20)).run(
-                &corpus.doc,
-                &corpus.schema,
-                corpus.rw_type,
-            )
-        } else {
-            detector(&corpus, Some(SnapshotBackend::save(&path)), None).run(
-                &corpus.doc,
-                &corpus.schema,
-                corpus.rw_type,
-            )
-        };
-        save_ok.expect("initial save");
-        let good = std::fs::read(&path).expect("snapshot installed");
+    let path = temp_path("atomic");
+    let save = || {
+        detector(&corpus, Some(SnapshotBackend::save(&path)), None).run(
+            &corpus.doc,
+            &corpus.schema,
+            corpus.rw_type,
+        )
+    };
+    save().expect("initial save");
+    let good = std::fs::read(&path).expect("snapshot installed");
 
-        let mut tmp = path.as_os_str().to_os_string();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        std::fs::create_dir_all(&tmp).expect("squat temp name");
-        let err = if paged {
-            detector_with(&corpus, PagedBackend::save(&path, 1 << 20))
-                .run(&corpus.doc, &corpus.schema, corpus.rw_type)
-                .unwrap_err()
-        } else {
-            detector(&corpus, Some(SnapshotBackend::save(&path)), None)
-                .run(&corpus.doc, &corpus.schema, corpus.rw_type)
-                .unwrap_err()
-        };
-        assert!(
-            matches!(err, DogmatixError::Snapshot { .. }),
-            "{tag}: {err}"
-        );
-        assert_eq!(
-            std::fs::read(&path).expect("previous snapshot survives"),
-            good,
-            "{tag}: failed save must not touch the installed file"
-        );
-        std::fs::remove_dir_all(&tmp).expect("clear squat");
+    let mut tmp = path.as_os_str().to_os_string();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    std::fs::create_dir_all(&tmp).expect("squat temp name");
+    let err = save().unwrap_err();
+    assert!(matches!(err, DogmatixError::Snapshot { .. }), "{err}");
+    assert_eq!(
+        std::fs::read(&path).expect("previous snapshot survives"),
+        good,
+        "failed save must not touch the installed file"
+    );
+    std::fs::remove_dir_all(&tmp).expect("clear squat");
 
-        // And the surviving file still warm-starts bit-identically.
-        let warm = if paged {
-            detector_with(&corpus, PagedBackend::open(&path, 1 << 20)).run(
-                &corpus.doc,
-                &corpus.schema,
-                corpus.rw_type,
-            )
-        } else {
-            detector(&corpus, Some(SnapshotBackend::load(&path)), None).run(
-                &corpus.doc,
-                &corpus.schema,
-                corpus.rw_type,
-            )
-        }
-        .expect("surviving snapshot loads");
-        assert_eq!(original, warm, "{tag}: surviving snapshot diverged");
-        assert!(!tmp.exists(), "{tag}: temp artefact left behind");
-        let _ = std::fs::remove_file(&path);
-    }
+    // And the surviving file still warm-starts bit-identically.
+    let warm = run(&corpus, Some(SnapshotBackend::load(&path)), None);
+    assert_eq!(original, warm, "surviving snapshot diverged");
+    assert!(!tmp.exists(), "temp artefact left behind");
+    let _ = std::fs::remove_file(&path);
 }
 
 // ---- buffer-pool properties -------------------------------------------

@@ -290,6 +290,34 @@ fn corrupt_log_headers_and_checkpoints_are_fatal() {
         );
     }
 
+    // A checkpoint whose embedded store image says version 1 — the
+    // retired flat snapshot format — is fatal and says to re-save. The
+    // checkpoint checksum is re-sealed so only the image version is
+    // wrong.
+    let dx = detector();
+    let mut session = dx
+        .incremental_session_inferred(build_doc(&seed_records()), "ITEM")
+        .expect("session opens");
+    dx.detect_delta(&mut session, &[]).expect("initial run");
+    let path = scratch_log("clean-ckpt");
+    drop(Wal::create(&path, &session, FsyncPolicy::Batch).expect("create WAL"));
+    let mut v1 = std::fs::read(ckpt_path(&path)).expect("checkpoint written");
+    remove_log(&path);
+    let at = v1
+        .windows(4)
+        .position(|w| w == b"DXTS")
+        .expect("a clean session's checkpoint embeds a store image");
+    v1[at + 4..at + 8].copy_from_slice(&1u32.to_le_bytes());
+    let mut h = dogmatix_repro::textsim::Fnv1a::new();
+    h.update(&v1[24..]);
+    let sum = dogmatix_repro::textsim::mix64(h.finish());
+    v1[8..16].copy_from_slice(&sum.to_le_bytes());
+    let err = recover_bytes("v1-image", &log, &v1).expect_err("a v1 store image must be fatal");
+    let msg = err.to_string();
+    assert!(matches!(err, DogmatixError::Wal { .. }), "wrong kind {msg}");
+    assert!(msg.contains("version 1"), "{msg}");
+    assert!(msg.contains("re-save"), "{msg}");
+
     // A missing checkpoint sidecar is fatal too.
     let path = scratch_log("no-ckpt");
     std::fs::write(&path, &log).expect("write log");
