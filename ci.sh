@@ -10,6 +10,19 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> perfbench compiles against the workspace (its own workspace, so the"
+echo "    build above never compiles it; its committed files must stay untouched)"
+# Cargo rewrites perfbench's stale Cargo.lock on every build; restore the
+# committed lock afterwards, and on any exit in between.
+perfbench_lock="$(mktemp)"
+cp perfbench/Cargo.lock "$perfbench_lock"
+trap 'cp "$perfbench_lock" perfbench/Cargo.lock' EXIT
+cargo check -q --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench-check
+cp "$perfbench_lock" perfbench/Cargo.lock
+trap - EXIT
+rm -f "$perfbench_lock"
+git diff --exit-code perfbench
+
 echo "==> dxlint self-test (fixture corpus must produce the pinned findings)"
 cargo run -q -p dogmatix_lint -- --self-test
 

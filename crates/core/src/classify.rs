@@ -12,6 +12,7 @@
 //! [`DetectionResult::possible_pairs`](crate::pipeline::DetectionResult::possible_pairs).
 
 use crate::error::DogmatixError;
+use crate::pipeline::check_threshold;
 use crate::stage::PairClassifier;
 
 /// Classification outcome for a candidate pair.
@@ -47,13 +48,6 @@ impl ThresholdClassifier {
             (0.0..=1.0).contains(&theta_cand),
             "θ_cand must be a similarity in [0, 1], got {theta_cand}"
         );
-        ThresholdClassifier::new_unchecked(theta_cand)
-    }
-
-    /// Config-derived construction: the pipeline validates thresholds
-    /// itself and reports a graceful `Config` error, so the debug
-    /// audit must not fire first.
-    pub(crate) fn new_unchecked(theta_cand: f64) -> Self {
         ThresholdClassifier {
             theta_cand,
             possible_band: None,
@@ -110,13 +104,8 @@ impl DualThreshold {
     /// exceed `theta_dup` — an inverted pair used to be silently clamped
     /// into an empty unknown zone, which masked swapped-argument bugs.
     pub fn new(theta_dup: f64, theta_unknown: f64) -> Result<Self, DogmatixError> {
-        for (name, v) in [("theta_dup", theta_dup), ("theta_unknown", theta_unknown)] {
-            if !(0.0..=1.0).contains(&v) || v.is_nan() {
-                return Err(DogmatixError::Config {
-                    message: format!("{name} must be within [0, 1], got {v}"),
-                });
-            }
-        }
+        check_threshold("theta_dup", theta_dup)?;
+        check_threshold("theta_unknown", theta_unknown)?;
         if theta_unknown > theta_dup {
             return Err(DogmatixError::Config {
                 message: format!(

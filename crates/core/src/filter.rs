@@ -163,13 +163,6 @@ impl ObjectFilter {
             (0.0..=1.0).contains(&theta_tuple) && (0.0..=1.0).contains(&theta_cand),
             "filter thresholds must be similarities in [0, 1], got ({theta_tuple}, {theta_cand})"
         );
-        ObjectFilter::new_unchecked(theta_tuple, theta_cand)
-    }
-
-    /// Config-derived construction: the pipeline validates thresholds
-    /// itself and reports a graceful `Config` error, so the debug
-    /// audit must not fire first.
-    pub(crate) fn new_unchecked(theta_tuple: f64, theta_cand: f64) -> Self {
         ObjectFilter {
             theta_tuple,
             theta_cand,
@@ -191,7 +184,7 @@ impl ComparisonFilter for ObjectFilter {
 }
 
 /// The no-op filter: every pair is compared — the ablation baseline of
-/// Section 6.3 (`use_filter: false` in the legacy configuration).
+/// Section 6.3 (`DogmatixBuilder::no_filter`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NoFilter;
 

@@ -17,31 +17,19 @@ use crate::cluster::UnionFind;
 use dogmatix_textsim::{ned_within, normalize_value};
 use dogmatix_xml::{Document, NodeId};
 
-/// Controls fusion behaviour.
-#[derive(Debug, Clone, Copy)]
-pub struct FusionConfig {
-    /// Values within this normalised edit distance are conflated
-    /// (use the detection run's `θ_tuple` for consistency).
-    pub theta_tuple: f64,
-}
-
-impl Default for FusionConfig {
-    fn default() -> Self {
-        FusionConfig { theta_tuple: 0.15 }
-    }
-}
-
 /// Fuses duplicate clusters into representatives, returning a new
 /// document with one element per real-world object.
 ///
 /// `candidates` and `clusters` come from a
 /// [`crate::pipeline::DetectionResult`]; the output root carries the
-/// same name as the source root.
+/// same name as the source root. Values within the normalised edit
+/// distance `theta_tuple` are conflated (pass the detection run's
+/// `θ_tuple` for consistency).
 pub fn fuse_clusters(
     doc: &Document,
     candidates: &[NodeId],
     clusters: &[Vec<usize>],
-    config: FusionConfig,
+    theta_tuple: f64,
 ) -> Document {
     let root_name = doc
         .root_element()
@@ -70,7 +58,7 @@ pub fn fuse_clusters(
             .filter(|j| uf.find(*j) == rep)
             .map(|j| candidates[j])
             .collect();
-        fuse_members(doc, &members, &mut out, out_root, config);
+        fuse_members(doc, &members, &mut out, out_root, theta_tuple);
     }
     out
 }
@@ -81,7 +69,7 @@ fn fuse_members(
     members: &[NodeId],
     out: &mut Document,
     parent: NodeId,
-    config: FusionConfig,
+    theta_tuple: f64,
 ) {
     let name = doc.name(members[0]).unwrap_or("object");
     let fused = out.add_element(parent, name);
@@ -118,7 +106,7 @@ fn fuse_members(
         if has_grandchildren {
             // Complex child (e.g. <tracks>): fuse recursively, merging
             // all instances into one.
-            fuse_members(doc, &instances, out, fused, config);
+            fuse_members(doc, &instances, out, fused, theta_tuple);
         } else {
             // Simple children: conflate ned-similar values.
             let mut kept: Vec<String> = Vec::new();
@@ -129,7 +117,7 @@ fn fuse_members(
                 let norm = normalize_value(&value);
                 match kept
                     .iter_mut()
-                    .find(|k| ned_within(&normalize_value(k), &norm, config.theta_tuple).is_some())
+                    .find(|k| ned_within(&normalize_value(k), &norm, theta_tuple).is_some())
                 {
                     Some(existing) => {
                         // Keep the longer spelling (less truncation).
@@ -150,12 +138,13 @@ fn fuse_members(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::DEFAULT_THETA_TUPLE;
 
     fn fuse(xml: &str, clusters: &[Vec<usize>]) -> Document {
         let doc = Document::parse(xml).unwrap();
         let root = doc.root_element().unwrap();
         let candidates: Vec<NodeId> = doc.child_elements(root).collect();
-        fuse_clusters(&doc, &candidates, clusters, FusionConfig::default())
+        fuse_clusters(&doc, &candidates, clusters, DEFAULT_THETA_TUPLE)
     }
 
     #[test]

@@ -26,8 +26,9 @@
 //!
 //! ## Quick start
 //!
-//! Detectors are assembled with [`Dogmatix::builder`]: pick a mapping, a
-//! heuristic, thresholds — and optionally swap any pipeline stage
+//! Detectors are assembled with [`Dogmatix::builder`], the crate's one
+//! configuration API: pick a mapping, a heuristic, thresholds (unset ones
+//! keep the paper's defaults) — and optionally swap any pipeline stage
 //! (filter, measure, classifier, clusterer) for another implementation.
 //!
 //! ```
@@ -109,6 +110,6 @@ pub mod wal;
 pub use error::DogmatixError;
 pub use incremental::{DocumentDelta, IncrementalSession};
 pub use mapping::Mapping;
-pub use pipeline::{DetectionResult, DetectionSession, Dogmatix, DogmatixBuilder, DogmatixConfig};
+pub use pipeline::{DetectionResult, DetectionSession, Dogmatix, DogmatixBuilder};
 pub use probe::{ProbeAnswer, ProbeBlocking, ProbeMatch, ProbeScratch, ProbeSnapshot, ProbeStats};
 pub use wal::{FsyncPolicy, Recovery, RecoveryReport, Wal};

@@ -12,12 +12,13 @@
 //!    [`PairClassifier`]
 //! 6. duplicate clustering → a [`Clusterer`]
 //!
-//! Detectors are assembled with [`Dogmatix::builder`]; the legacy
-//! [`Dogmatix::new`] constructor wires the paper's default stages from a
-//! [`DogmatixConfig`] and produces identical results. Repeated runs over
-//! the same document reuse a [`DetectionSession`], which holds the
-//! resolved candidates and caches object descriptions per selection, so
-//! parameter sweeps and benches stop re-deriving state.
+//! Detectors are assembled with [`Dogmatix::builder`]; every step left
+//! unset gets the paper's default stage, wired from the builder's
+//! thresholds ([`DEFAULT_THETA_TUPLE`] and [`DEFAULT_THETA_CAND`] unless
+//! set). Repeated runs over the same document reuse a
+//! [`DetectionSession`], which holds the resolved candidates and caches
+//! object descriptions per selection, so parameter sweeps and benches
+//! stop re-deriving state.
 //!
 //! Pairwise comparison runs through the crate's one comparison executor,
 //! optionally parallelised over worker threads (`std::thread::scope`,
@@ -35,7 +36,7 @@ use crate::heuristics::HeuristicExpr;
 use crate::mapping::Mapping;
 use crate::od::OdSet;
 use crate::output::clusters_to_xml;
-use crate::sim::{EditKernelChoice, SoftIdfMeasure};
+use crate::sim::SoftIdfMeasure;
 use crate::stage::{
     Clusterer, ComparisonFilter, DescriptionSelector, FilterDecision, PairClassifier, SimContext,
     SimilarityMeasure,
@@ -45,33 +46,33 @@ use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-/// Configuration of one DogmatiX run (the legacy, paper-default view;
-/// [`Dogmatix::builder`] is the general API).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DogmatixConfig {
-    /// Tuple-similarity threshold `θ_tuple` (paper: 0.15).
-    pub theta_tuple: f64,
-    /// Duplicate threshold `θ_cand` (paper: 0.55).
-    pub theta_cand: f64,
-    /// Description-selection heuristic.
-    pub heuristic: HeuristicExpr,
-    /// Whether to run the object filter (Step 4). Disabling it compares
-    /// every pair — the ablation baseline of Section 6.3.
-    pub use_filter: bool,
-    /// Worker threads for pairwise comparison. `1` = sequential,
-    /// `0` = use all available cores.
-    pub threads: usize,
-}
+/// The paper's tuple-similarity threshold `θ_tuple` (Section 6), the
+/// builder's default.
+pub const DEFAULT_THETA_TUPLE: f64 = 0.15;
 
-impl Default for DogmatixConfig {
-    fn default() -> Self {
-        DogmatixConfig {
-            theta_tuple: 0.15,
-            theta_cand: 0.55,
-            heuristic: HeuristicExpr::r_distant_descendants(1),
-            use_filter: true,
-            threads: 1,
-        }
+/// The paper's duplicate threshold `θ_cand` (Section 6), the builder's
+/// default.
+pub const DEFAULT_THETA_CAND: f64 = 0.55;
+
+/// Checks that the threshold `name` is a similarity in `[0, 1]` (NaN
+/// is not) and returns it — the one range check behind the detector's
+/// thresholds, [`DualThreshold`](crate::classify::DualThreshold) and
+/// the CLI's `--theta-*` flags.
+///
+/// ```
+/// use dogmatix_core::pipeline::check_threshold;
+/// assert_eq!(check_threshold("theta_cand", 0.55).unwrap(), 0.55);
+/// let err = check_threshold("theta_tuple", 1.5).unwrap_err();
+/// assert!(err.to_string().contains("theta_tuple must be within [0, 1], got 1.5"));
+/// assert!(check_threshold("theta_tuple", f64::NAN).is_err());
+/// ```
+pub fn check_threshold(name: &str, value: f64) -> Result<f64, DogmatixError> {
+    if (0.0..=1.0).contains(&value) {
+        Ok(value)
+    } else {
+        Err(DogmatixError::Config {
+            message: format!("{name} must be within [0, 1], got {value}"),
+        })
     }
 }
 
@@ -260,7 +261,9 @@ impl std::fmt::Debug for DetectionSession<'_> {
 /// exchangeable pipeline step.
 #[derive(Debug, Clone)]
 pub struct Dogmatix {
-    config: DogmatixConfig,
+    theta_tuple: f64,
+    theta_cand: f64,
+    threads: usize,
     mapping: Mapping,
     selector: Arc<dyn DescriptionSelector>,
     filter: Arc<dyn ComparisonFilter>,
@@ -271,22 +274,19 @@ pub struct Dogmatix {
 }
 
 impl Dogmatix {
-    /// Creates a detector with the paper's default stages wired from the
-    /// configuration (the legacy API; equivalent to the builder).
-    pub fn new(config: DogmatixConfig, mapping: Mapping) -> Self {
-        let mut builder = Dogmatix::builder().mapping(mapping);
-        builder.config = config;
-        builder.build()
-    }
-
     /// Starts assembling a detector stage by stage.
     ///
-    /// Unset stages fall back to the paper's defaults derived from the
-    /// configuration values (`theta_tuple`, `theta_cand`, `heuristic`,
-    /// `use_filter`).
+    /// Unset stages fall back to the paper's defaults, derived from the
+    /// builder's `theta_tuple`, `theta_cand` and `heuristic`
+    /// (defaults: [`DEFAULT_THETA_TUPLE`], [`DEFAULT_THETA_CAND`],
+    /// `rd:1`); comparison runs on one thread unless
+    /// [`DogmatixBuilder::threads`] says otherwise.
     pub fn builder() -> DogmatixBuilder {
         DogmatixBuilder {
-            config: DogmatixConfig::default(),
+            theta_tuple: DEFAULT_THETA_TUPLE,
+            theta_cand: DEFAULT_THETA_CAND,
+            heuristic: HeuristicExpr::r_distant_descendants(1),
+            threads: 1,
             mapping: Mapping::new(),
             selector: None,
             filter: None,
@@ -294,14 +294,7 @@ impl Dogmatix {
             classifier: None,
             clusterer: None,
             index_backend: None,
-            edit_kernel: EditKernelChoice::default(),
         }
-    }
-
-    /// The configuration (legacy view; stages set explicitly on the
-    /// builder are not reflected here).
-    pub fn config(&self) -> &DogmatixConfig {
-        &self.config
     }
 
     /// The mapping `M`.
@@ -509,7 +502,7 @@ impl Dogmatix {
     }
 
     pub(crate) fn threads(&self) -> usize {
-        match self.config.threads {
+        match self.threads {
             0 => std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
@@ -543,16 +536,8 @@ impl Dogmatix {
     }
 
     pub(crate) fn validate(&self) -> Result<(), DogmatixError> {
-        for (name, v) in [
-            ("theta_tuple", self.config.theta_tuple),
-            ("theta_cand", self.config.theta_cand),
-        ] {
-            if !(0.0..=1.0).contains(&v) || v.is_nan() {
-                return Err(DogmatixError::Config {
-                    message: format!("{name} must be within [0, 1], got {v}"),
-                });
-            }
-        }
+        check_threshold("theta_tuple", self.theta_tuple)?;
+        check_threshold("theta_cand", self.theta_cand)?;
         Ok(())
     }
 }
@@ -571,11 +556,14 @@ impl Dogmatix {
 ///     .theta_cand(0.55)
 ///     .threads(4)
 ///     .build();
-/// assert_eq!(dx.config().threads, 4);
+/// assert!(dx.mapping().paths_of("MOVIE").is_some());
 /// ```
 #[derive(Debug, Clone)]
 pub struct DogmatixBuilder {
-    config: DogmatixConfig,
+    theta_tuple: f64,
+    theta_cand: f64,
+    heuristic: HeuristicExpr,
+    threads: usize,
     mapping: Mapping,
     selector: Option<Arc<dyn DescriptionSelector>>,
     filter: Option<Arc<dyn ComparisonFilter>>,
@@ -583,7 +571,6 @@ pub struct DogmatixBuilder {
     classifier: Option<Arc<dyn PairClassifier>>,
     clusterer: Option<Arc<dyn Clusterer>>,
     index_backend: Option<Arc<dyn TermIndexBackend>>,
-    edit_kernel: EditKernelChoice,
 }
 
 impl DogmatixBuilder {
@@ -603,21 +590,21 @@ impl DogmatixBuilder {
     /// Sets the tuple-similarity threshold `θ_tuple` used by the default
     /// measure and filter.
     pub fn theta_tuple(mut self, theta: f64) -> Self {
-        self.config.theta_tuple = theta;
+        self.theta_tuple = theta;
         self
     }
 
     /// Sets the duplicate threshold `θ_cand` used by the default
     /// classifier and filter.
     pub fn theta_cand(mut self, theta: f64) -> Self {
-        self.config.theta_cand = theta;
+        self.theta_cand = theta;
         self
     }
 
     /// Sets the description-selection heuristic (the default
     /// [`DescriptionSelector`]).
     pub fn heuristic(mut self, heuristic: HeuristicExpr) -> Self {
-        self.config.heuristic = heuristic;
+        self.heuristic = heuristic;
         self
     }
 
@@ -637,27 +624,7 @@ impl DogmatixBuilder {
     /// Disables comparison reduction (the Section 6.3 ablation): every
     /// pair is compared.
     pub fn no_filter(mut self) -> Self {
-        self.config.use_filter = false;
         self.filter = Some(Arc::new(NoFilter));
-        self
-    }
-
-    /// Selects the edit-distance kernel the default similarity measure
-    /// scores through (CLI: `--edit-kernel`). Kernels are exact, so the
-    /// choice never changes detection results — only throughput.
-    /// Ignored when a custom measure is set.
-    ///
-    /// ```
-    /// use dogmatix_core::pipeline::Dogmatix;
-    /// use dogmatix_core::sim::EditKernelChoice;
-    /// let dx = Dogmatix::builder()
-    ///     .add_type("M", ["/db/m"])
-    ///     .edit_kernel(EditKernelChoice::Scalar)
-    ///     .build();
-    /// # let _ = dx;
-    /// ```
-    pub fn edit_kernel(mut self, choice: EditKernelChoice) -> Self {
-        self.edit_kernel = choice;
         self
     }
 
@@ -712,7 +679,7 @@ impl DogmatixBuilder {
     /// # Ok::<(), dogmatix_core::DogmatixError>(())
     /// ```
     pub fn threads(mut self, threads: usize) -> Self {
-        self.config.threads = threads;
+        self.threads = threads;
         self
     }
 
@@ -741,10 +708,13 @@ impl DogmatixBuilder {
     }
 
     /// Assembles the detector, deriving any unset stage from the
-    /// configuration defaults.
+    /// builder's thresholds and heuristic.
     pub fn build(self) -> Dogmatix {
         let DogmatixBuilder {
-            config,
+            theta_tuple,
+            theta_cand,
+            heuristic,
+            threads,
             mapping,
             selector,
             filter,
@@ -752,36 +722,30 @@ impl DogmatixBuilder {
             classifier,
             clusterer,
             index_backend,
-            edit_kernel,
         } = self;
-        let selector = selector.unwrap_or_else(|| Arc::new(config.heuristic.clone()) as Arc<_>);
-        let filter = filter.unwrap_or_else(|| {
-            if config.use_filter {
-                Arc::new(ObjectFilter::new_unchecked(
-                    config.theta_tuple,
-                    config.theta_cand,
-                )) as Arc<_>
-            } else {
-                Arc::new(NoFilter) as Arc<_>
-            }
-        });
-        let measure = measure.unwrap_or_else(|| {
-            let mut soft_idf = SoftIdfMeasure::new_unchecked(config.theta_tuple);
-            soft_idf.kernel = edit_kernel;
-            Arc::new(soft_idf) as Arc<_>
-        });
-        let classifier = classifier.unwrap_or_else(|| {
-            Arc::new(ThresholdClassifier::new_unchecked(config.theta_cand)) as Arc<_>
-        });
-        let clusterer = clusterer.unwrap_or_else(|| Arc::new(TransitiveClosure) as Arc<_>);
+        // Struct literals, not the stages' `new`: thresholds are checked
+        // when the detector runs (a `Config` error), so the constructors'
+        // debug audits must not fire first.
         Dogmatix {
-            config,
+            theta_tuple,
+            theta_cand,
+            threads,
             mapping,
-            selector,
-            filter,
-            measure,
-            classifier,
-            clusterer,
+            selector: selector.unwrap_or_else(|| Arc::new(heuristic)),
+            filter: filter.unwrap_or_else(|| {
+                Arc::new(ObjectFilter {
+                    theta_tuple,
+                    theta_cand,
+                })
+            }),
+            measure: measure.unwrap_or_else(|| Arc::new(SoftIdfMeasure { theta_tuple })),
+            classifier: classifier.unwrap_or_else(|| {
+                Arc::new(ThresholdClassifier {
+                    theta_cand,
+                    possible_band: None,
+                })
+            }),
+            clusterer: clusterer.unwrap_or_else(|| Arc::new(TransitiveClosure)),
             index_backend,
         }
     }
@@ -819,7 +783,7 @@ mod tests {
     #[test]
     fn end_to_end_finds_the_matrix_pair() {
         let (doc, schema, mapping) = movie_setup();
-        let dx = Dogmatix::new(DogmatixConfig::default(), mapping);
+        let dx = Dogmatix::builder().mapping(mapping).build();
         let result = dx.run(&doc, &schema, "MOVIE").unwrap();
         assert_eq!(result.stats.candidates, 4);
         assert_eq!(result.duplicate_pairs.len(), 1);
@@ -835,23 +799,9 @@ mod tests {
     }
 
     #[test]
-    fn builder_defaults_match_legacy_constructor() {
-        let (doc, schema, mapping) = movie_setup();
-        let legacy = Dogmatix::new(DogmatixConfig::default(), mapping.clone())
-            .run(&doc, &schema, "MOVIE")
-            .unwrap();
-        let built = Dogmatix::builder()
-            .mapping(mapping)
-            .build()
-            .run(&doc, &schema, "MOVIE")
-            .unwrap();
-        assert_eq!(legacy, built);
-    }
-
-    #[test]
     fn session_caches_od_sets_across_runs() {
         let (doc, schema, mapping) = movie_setup();
-        let dx = Dogmatix::new(DogmatixConfig::default(), mapping);
+        let dx = Dogmatix::builder().mapping(mapping).build();
         let session = dx.session(&doc, &schema, "MOVIE").unwrap();
         let first = dx.detect(&session).unwrap();
         assert_eq!(session.cached_od_sets(), 1);
@@ -967,7 +917,7 @@ mod tests {
     #[test]
     fn filter_prunes_isolated_candidates() {
         let (doc, schema, mapping) = movie_setup();
-        let dx = Dogmatix::new(DogmatixConfig::default(), mapping);
+        let dx = Dogmatix::builder().mapping(mapping).build();
         let result = dx.run(&doc, &schema, "MOVIE").unwrap();
         // Signs and Distant Echo share nothing with anyone.
         assert!(result.stats.pruned_by_filter >= 1);
@@ -979,18 +929,17 @@ mod tests {
     #[test]
     fn filter_and_no_filter_agree_on_duplicates() {
         let (doc, schema, mapping) = movie_setup();
-        let with = Dogmatix::new(DogmatixConfig::default(), mapping.clone())
+        let with = Dogmatix::builder()
+            .mapping(mapping.clone())
+            .build()
             .run(&doc, &schema, "MOVIE")
             .unwrap();
-        let without = Dogmatix::new(
-            DogmatixConfig {
-                use_filter: false,
-                ..DogmatixConfig::default()
-            },
-            mapping,
-        )
-        .run(&doc, &schema, "MOVIE")
-        .unwrap();
+        let without = Dogmatix::builder()
+            .mapping(mapping)
+            .no_filter()
+            .build()
+            .run(&doc, &schema, "MOVIE")
+            .unwrap();
         assert_eq!(with.duplicate_pairs, without.duplicate_pairs);
         assert!(without.stats.pairs_compared >= with.stats.pairs_compared);
     }
@@ -998,18 +947,17 @@ mod tests {
     #[test]
     fn parallel_matches_sequential() {
         let (doc, schema, mapping) = movie_setup();
-        let seq = Dogmatix::new(DogmatixConfig::default(), mapping.clone())
+        let seq = Dogmatix::builder()
+            .mapping(mapping.clone())
+            .build()
             .run(&doc, &schema, "MOVIE")
             .unwrap();
-        let par = Dogmatix::new(
-            DogmatixConfig {
-                threads: 4,
-                ..DogmatixConfig::default()
-            },
-            mapping,
-        )
-        .run(&doc, &schema, "MOVIE")
-        .unwrap();
+        let par = Dogmatix::builder()
+            .mapping(mapping)
+            .threads(4)
+            .build()
+            .run(&doc, &schema, "MOVIE")
+            .unwrap();
         assert_eq!(seq.duplicate_pairs, par.duplicate_pairs);
         assert_eq!(seq.clusters, par.clusters);
     }
@@ -1018,21 +966,28 @@ mod tests {
     fn invalid_thresholds_rejected() {
         let (doc, schema, mapping) = movie_setup();
         for bad in [-0.1, 1.5, f64::NAN] {
-            let dx = Dogmatix::new(
-                DogmatixConfig {
-                    theta_cand: bad,
-                    ..DogmatixConfig::default()
-                },
-                mapping.clone(),
-            );
-            assert!(dx.run(&doc, &schema, "MOVIE").is_err(), "theta={bad}");
+            for (name, dx) in [
+                ("theta_tuple", Dogmatix::builder().theta_tuple(bad)),
+                ("theta_cand", Dogmatix::builder().theta_cand(bad)),
+            ] {
+                let err = dx
+                    .mapping(mapping.clone())
+                    .build()
+                    .run(&doc, &schema, "MOVIE")
+                    .unwrap_err();
+                assert!(
+                    matches!(&err, DogmatixError::Config { message }
+                        if message == &format!("{name} must be within [0, 1], got {bad}")),
+                    "{name}={bad}: {err}"
+                );
+            }
         }
     }
 
     #[test]
     fn output_document_lists_cluster_members() {
         let (doc, schema, mapping) = movie_setup();
-        let dx = Dogmatix::new(DogmatixConfig::default(), mapping);
+        let dx = Dogmatix::builder().mapping(mapping).build();
         let result = dx.run(&doc, &schema, "MOVIE").unwrap();
         let out = result.to_xml(&doc);
         let dups = out.select("/duplicates/dupcluster/duplicate").unwrap();
@@ -1043,7 +998,7 @@ mod tests {
     #[test]
     fn unknown_type_propagates() {
         let (doc, schema, mapping) = movie_setup();
-        let dx = Dogmatix::new(DogmatixConfig::default(), mapping);
+        let dx = Dogmatix::builder().mapping(mapping).build();
         assert!(matches!(
             dx.run(&doc, &schema, "NOPE"),
             Err(DogmatixError::UnknownType { .. })
@@ -1059,7 +1014,7 @@ mod tests {
         };
         let mut mapping = Mapping::new();
         mapping.add_type("MOVIE", ["/moviedoc/movie"]);
-        let dx = Dogmatix::new(DogmatixConfig::default(), mapping);
+        let dx = Dogmatix::builder().mapping(mapping).build();
         let result = dx.run(&doc, &schema, "MOVIE").unwrap();
         assert_eq!(result.stats.candidates, 0);
         assert!(result.duplicate_pairs.is_empty());

@@ -78,10 +78,7 @@ pub enum ProbeBlocking {
 impl Default for ProbeBlocking {
     /// The paper-default pairing: 2-grams at `θ_tuple = 0.15`.
     fn default() -> Self {
-        ProbeBlocking::QGram(QGramBlocking::new(
-            2,
-            crate::pipeline::DogmatixConfig::default().theta_tuple,
-        ))
+        ProbeBlocking::QGram(QGramBlocking::new(2, crate::pipeline::DEFAULT_THETA_TUPLE))
     }
 }
 

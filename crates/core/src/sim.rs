@@ -23,21 +23,18 @@
 //! This implements the spirit of the paper's \[18\] bound optimisation
 //! together with the bounded edit-distance kernels in `dogmatix-textsim`.
 //!
-//! Distances that *are* computed go through a pluggable
-//! [`EditDistanceKernel`] (selected per measure via [`EditKernelChoice`],
-//! default bit-parallel). The scoring loop batches each left term's row:
+//! Distances that *are* computed go through Myers' bit-parallel
+//! [`BitParallelKernel`], which is exact: it returns the scalar DP's
+//! integer distances. The scoring loop batches each left term's row:
 //! memo hits resolve during a gather pass, then the kernel prepares the
 //! left term's pattern state once and sweeps the remaining right terms,
 //! reading norm spans and cached char lengths straight from the
-//! `TermStore` SoA columns. Kernels are exact, so the kernel choice
-//! never changes any score.
+//! `TermStore` SoA columns.
 
 use crate::od::{OdSet, TermId};
-use dogmatix_textsim::kernel::{EditDistanceKernel, KernelScratch};
+use dogmatix_textsim::kernel::{BitParallelKernel, EditDistanceKernel, KernelScratch};
 use dogmatix_textsim::{bag_distance_lower_bound_with, idf, length_lower_bound, strict_cap};
 use std::collections::HashMap;
-
-pub use dogmatix_textsim::kernel::EditKernelChoice;
 
 /// Memoised per-term-pair state plus reusable scratch buffers for the
 /// allocation-free fast path. One cache may be shared across all pair
@@ -71,7 +68,7 @@ pub struct DistCache {
     scratch_used_i: Vec<bool>,
     scratch_used_j: Vec<bool>,
     /// One left term's gathered comparison row: `(tuple_j, term_j,
-    /// distance)`, distance = NaN until the kernel dispatch fills it.
+    /// distance)`, distance = NaN until the kernel fills it.
     scratch_row: Vec<(u32, TermId, f64)>,
     /// Working state for the edit-distance kernels (pattern bitmasks, DP
     /// rows, bound tables) — reused across every comparison this cache
@@ -157,16 +154,10 @@ fn ordered(a: TermId, b: TermId) -> (TermId, TermId) {
     }
 }
 
-/// Exact `odtDist` through the selected kernel: norm spans and cached
+/// Exact `odtDist` through the kernel: norm spans and cached
 /// character lengths come straight from the `TermStore` SoA columns —
 /// no per-pair `chars().count()` pass, no allocation.
-fn kernel_distance(
-    kernel: &dyn EditDistanceKernel,
-    scratch: &mut KernelScratch,
-    ods: &OdSet,
-    a: TermId,
-    b: TermId,
-) -> f64 {
+fn kernel_distance(scratch: &mut KernelScratch, ods: &OdSet, a: TermId, b: TermId) -> f64 {
     let term_a = ods.term(a);
     let term_b = ods.term(b);
     let la = term_a.char_len();
@@ -175,7 +166,7 @@ fn kernel_distance(
     if max_len == 0 {
         return 0.0;
     }
-    let d = kernel
+    let d = BitParallelKernel
         .bounded_counted(scratch, term_a.norm(), la, term_b.norm(), lb, max_len)
         .unwrap_or(max_len); // unreachable: every distance is <= max_len
     d as f64 / max_len as f64
@@ -185,7 +176,6 @@ fn kernel_distance(
 /// `ned_within` cascade (strict cap, length bound, bag bound, bounded
 /// distance) over store columns and cache-resident scratch.
 fn kernel_similar(
-    kernel: &dyn EditDistanceKernel,
     scratch: &mut KernelScratch,
     ods: &OdSet,
     a: TermId,
@@ -209,7 +199,7 @@ fn kernel_similar(
     if bag_distance_lower_bound_with(term_a.norm(), term_b.norm(), &mut scratch.bounds) > cap {
         return false;
     }
-    kernel
+    BitParallelKernel
         .bounded_counted(scratch, term_a.norm(), la, term_b.norm(), lb, cap)
         .is_some()
 }
@@ -219,7 +209,6 @@ fn kernel_similar(
 fn distance_memo(
     map: &mut HashMap<(TermId, TermId), f64>,
     scratch: &mut KernelScratch,
-    kernel: &dyn EditDistanceKernel,
     ods: &OdSet,
     a: TermId,
     b: TermId,
@@ -231,7 +220,7 @@ fn distance_memo(
     if let Some(d) = map.get(&key) {
         return *d;
     }
-    let d = kernel_distance(kernel, scratch, ods, a, b);
+    let d = kernel_distance(scratch, ods, a, b);
     if is_frequent(ods, a, b) {
         map.insert(key, d);
     }
@@ -244,7 +233,6 @@ fn distance_memo(
 fn similar_memo(
     map: &mut HashMap<(TermId, TermId), bool>,
     scratch: &mut KernelScratch,
-    kernel: &dyn EditDistanceKernel,
     ods: &OdSet,
     a: TermId,
     b: TermId,
@@ -257,7 +245,7 @@ fn similar_memo(
     if let Some(v) = map.get(&key) {
         return *v;
     }
-    let v = kernel_similar(kernel, scratch, ods, a, b, theta);
+    let v = kernel_similar(scratch, ods, a, b, theta);
     if is_frequent(ods, a, b) {
         map.insert(key, v);
     }
@@ -350,26 +338,13 @@ pub struct SimBreakdown {
 pub struct SimEngine<'a> {
     ods: &'a OdSet,
     theta_tuple: f64,
-    kernel: &'static dyn EditDistanceKernel,
 }
 
 impl<'a> SimEngine<'a> {
     /// Creates an engine with the given tuple-similarity threshold
-    /// (`θ_tuple`, the paper uses 0.15) and the default edit-distance
-    /// kernel.
+    /// (`θ_tuple`, the paper uses 0.15).
     pub fn new(ods: &'a OdSet, theta_tuple: f64) -> Self {
-        SimEngine::with_kernel(ods, theta_tuple, EditKernelChoice::default())
-    }
-
-    /// Creates an engine scoring through the selected edit-distance
-    /// kernel. Kernels are exact, so every choice produces bit-identical
-    /// similarity values — only throughput differs.
-    pub fn with_kernel(ods: &'a OdSet, theta_tuple: f64, choice: EditKernelChoice) -> Self {
-        SimEngine {
-            ods,
-            theta_tuple,
-            kernel: choice.kernel(),
-        }
+        SimEngine { ods, theta_tuple }
     }
 
     /// The OD set this engine reads.
@@ -426,7 +401,6 @@ impl<'a> SimEngine<'a> {
                             if similar_memo(
                                 &mut cache.similar,
                                 &mut cache.kernel_scratch,
-                                self.kernel,
                                 ods,
                                 term_i,
                                 term_j,
@@ -475,8 +449,11 @@ impl<'a> SimEngine<'a> {
                             if misses > 0 {
                                 let term_a = ods.term(term_i);
                                 let la = term_a.char_len();
-                                self.kernel
-                                    .prepare(&mut cache.kernel_scratch, term_a.norm(), la);
+                                BitParallelKernel.prepare(
+                                    &mut cache.kernel_scratch,
+                                    term_a.norm(),
+                                    la,
+                                );
                                 for entry in row.iter_mut() {
                                     if !entry.2.is_nan() {
                                         continue;
@@ -487,8 +464,7 @@ impl<'a> SimEngine<'a> {
                                     let d = if max_len == 0 {
                                         0.0
                                     } else {
-                                        let edits = self
-                                            .kernel
+                                        let edits = BitParallelKernel
                                             .bounded_prepared(
                                                 &mut cache.kernel_scratch,
                                                 term_b.norm(),
@@ -591,7 +567,6 @@ impl<'a> SimEngine<'a> {
                 let d = distance_memo(
                     &mut cache.dist,
                     &mut cache.kernel_scratch,
-                    self.kernel,
                     ods,
                     t_i.term(),
                     t_j.term(),
@@ -680,41 +655,17 @@ impl<'a> SimEngine<'a> {
 pub struct SoftIdfMeasure {
     /// Tuple-similarity threshold `θ_tuple` (paper: 0.15).
     pub theta_tuple: f64,
-    /// Edit-distance kernel the prepared engine scores through. Kernels
-    /// are exact, so this never changes detection output.
-    pub kernel: EditKernelChoice,
 }
 
 impl SoftIdfMeasure {
-    /// Creates the measure with the given `θ_tuple` and the default
-    /// (bit-parallel) kernel. Debug builds assert the threshold is a
-    /// similarity in `[0, 1]`.
+    /// Creates the measure with the given `θ_tuple`. Debug builds assert
+    /// the threshold is a similarity in `[0, 1]`.
     pub fn new(theta_tuple: f64) -> Self {
         debug_assert!(
             (0.0..=1.0).contains(&theta_tuple),
             "θ_tuple must be a similarity in [0, 1], got {theta_tuple}"
         );
-        SoftIdfMeasure {
-            theta_tuple,
-            kernel: EditKernelChoice::default(),
-        }
-    }
-
-    /// Creates the measure with an explicit edit-distance kernel.
-    pub fn with_kernel(theta_tuple: f64, kernel: EditKernelChoice) -> Self {
-        let mut measure = SoftIdfMeasure::new(theta_tuple);
-        measure.kernel = kernel;
-        measure
-    }
-
-    /// Config-derived construction: the pipeline validates thresholds
-    /// itself and reports a graceful `Config` error, so the debug
-    /// audit must not fire first.
-    pub(crate) fn new_unchecked(theta_tuple: f64) -> Self {
-        SoftIdfMeasure {
-            theta_tuple,
-            kernel: EditKernelChoice::default(),
-        }
+        SoftIdfMeasure { theta_tuple }
     }
 }
 
@@ -723,11 +674,7 @@ impl crate::stage::SimilarityMeasure for SoftIdfMeasure {
         &self,
         ctx: crate::stage::SimContext<'a>,
     ) -> Box<dyn crate::stage::PreparedMeasure + 'a> {
-        Box::new(SimEngine::with_kernel(
-            ctx.ods,
-            self.theta_tuple,
-            self.kernel,
-        ))
+        Box::new(SimEngine::new(ctx.ods, self.theta_tuple))
     }
 }
 
@@ -1013,36 +960,6 @@ mod tests {
                     assert!(
                         (fast - slow).abs() < 1e-12,
                         "sim({i},{j})@{theta}: fast={fast} breakdown={slow}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn kernel_choice_is_bit_identical() {
-        // Exact equality, not approximate: kernels return the same
-        // integer distances, so every float downstream is identical.
-        let ods = movie_odset();
-        for theta in [0.15, 0.45, 0.8] {
-            let scalar = SimEngine::with_kernel(&ods, theta, EditKernelChoice::Scalar);
-            let bitpar = SimEngine::with_kernel(&ods, theta, EditKernelChoice::BitParallel);
-            let mut ca = DistCache::new();
-            let mut cb = DistCache::new();
-            for i in 0..ods.len() {
-                for j in 0..ods.len() {
-                    if i == j {
-                        continue;
-                    }
-                    assert_eq!(
-                        scalar.sim(i, j, &mut ca),
-                        bitpar.sim(i, j, &mut cb),
-                        "sim({i},{j})@{theta}"
-                    );
-                    assert_eq!(
-                        scalar.breakdown(i, j, &mut ca),
-                        bitpar.breakdown(i, j, &mut cb),
-                        "breakdown({i},{j})@{theta}"
                     );
                 }
             }

@@ -15,9 +15,8 @@
 //! | 5 classification | [`PairClassifier`] | [`crate::classify::ThresholdClassifier`], [`crate::classify::DualThreshold`] |
 //! | 6 clustering | [`Clusterer`] | [`crate::cluster::TransitiveClosure`] |
 //!
-//! Stages are assembled with [`crate::pipeline::Dogmatix::builder`]; the
-//! legacy `Dogmatix::new(config, mapping)` constructor wires the paper's
-//! default stages and produces identical results.
+//! Stages are assembled with [`crate::pipeline::Dogmatix::builder`],
+//! which fills every step left unset with the paper's default stage.
 
 use crate::classify::Class;
 use crate::od::OdSet;

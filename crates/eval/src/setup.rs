@@ -1,16 +1,16 @@
-//! Shared wiring: datasets → schema, mapping, and detector configuration.
+//! Shared wiring: datasets → schema, mapping, and the paper's detector.
 
 use dogmatix_core::heuristics::HeuristicExpr;
 use dogmatix_core::mapping::Mapping;
-use dogmatix_core::pipeline::{Dogmatix, DogmatixConfig};
+use dogmatix_core::pipeline::{Dogmatix, DEFAULT_THETA_CAND, DEFAULT_THETA_TUPLE};
 use dogmatix_datagen::cd::{CD_CANDIDATE_PATH, CD_XSD};
 use dogmatix_datagen::movie::{movie_description_types, MOVIE_CANDIDATE_PATHS};
 use dogmatix_xml::{Document, Schema};
 
 /// The paper's thresholds: `θ_tuple = 0.15`, `θ_cand = 0.55`.
-pub const THETA_TUPLE: f64 = 0.15;
+pub const THETA_TUPLE: f64 = DEFAULT_THETA_TUPLE;
 /// See [`THETA_TUPLE`].
-pub const THETA_CAND: f64 = 0.55;
+pub const THETA_CAND: f64 = DEFAULT_THETA_CAND;
 
 /// Real-world type name of the CD candidates.
 pub const CD_TYPE: &str = "DISC";
@@ -57,19 +57,6 @@ pub fn movie_mapping() -> Mapping {
         rw_type: "PERSON".to_string(),
     });
     m
-}
-
-/// Detector configuration with the paper's thresholds and the given
-/// heuristic. The filter stays on (the paper's pipeline always filters);
-/// pairwise comparison uses all cores.
-pub fn paper_config(heuristic: HeuristicExpr) -> DogmatixConfig {
-    DogmatixConfig {
-        theta_tuple: THETA_TUPLE,
-        theta_cand: THETA_CAND,
-        heuristic,
-        use_filter: true,
-        threads: 0,
-    }
 }
 
 /// A ready detector with the paper's thresholds, assembled through the

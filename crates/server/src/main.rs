@@ -1,6 +1,5 @@
 //! `dogmatixd` binary: boot the resident dedup server over one corpus.
 
-use dogmatix_core::probe::ProbeBlocking;
 use dogmatix_core::{Dogmatix, FsyncPolicy, IncrementalSession, Mapping, Wal};
 use dogmatix_server::{serve, serve_durable, ServerConfig};
 use dogmatix_xml::Document;
@@ -109,7 +108,6 @@ fn run() -> Result<(), String> {
         .map_err(|e| format!("cannot read mapping {mapping_path}: {e}"))?;
     let mapping = Mapping::parse(&mapping_text).map_err(|e| format!("{mapping_path}: {e}"))?;
     let dx = Dogmatix::builder().mapping(mapping.clone()).build();
-    config.blocking = ProbeBlocking::default();
 
     let handle = if let Some(path) = wal_path {
         let (session, wal) = if recover {

@@ -2,14 +2,14 @@
 //!
 //! The comparison phase spends its time computing bounded Levenshtein
 //! distances between normalised term values. This module puts that
-//! computation behind one seam — [`EditDistanceKernel`] — so the scalar
-//! banded DP ([`ScalarKernel`]), Myers' bit-parallel algorithm
-//! ([`BitParallelKernel`], the default) and future wide implementations
-//! (a GPU-shaped batch kernel) are swappable without touching callers.
+//! computation behind one seam — [`EditDistanceKernel`] — with two
+//! implementations: Myers' bit-parallel algorithm ([`BitParallelKernel`]),
+//! which the similarity engine scores through, and the scalar banded DP
+//! ([`ScalarKernel`]), the reference oracle the differential tests and
+//! the kernel bench check it against.
 //!
 //! Every kernel is **exact**: for the same inputs all kernels return the
-//! same integer distance as the scalar dynamic program, so swapping
-//! kernels never changes detection output — only wall-clock time.
+//! same integer distance as the scalar dynamic program.
 //!
 //! The batch shape mirrors how the scoring loop consumes distances: one
 //! *pattern* (the left term of a posting group) is prepared once via
@@ -40,7 +40,6 @@
 
 use std::cell::RefCell;
 use std::fmt;
-use std::str::FromStr;
 
 use crate::bounds::BoundsScratch;
 use crate::levenshtein;
@@ -139,7 +138,7 @@ impl KernelScratch {
 /// assert_eq!(ScalarKernel.bounded(&mut scratch, "Boston", "New York", 6), None);
 /// ```
 pub trait EditDistanceKernel: fmt::Debug + Send + Sync {
-    /// Kernel name as used by `--edit-kernel` and diagnostics.
+    /// Kernel name, for diagnostics and bench reports.
     fn name(&self) -> &'static str;
 
     /// Preprocesses `pattern` (`pattern_chars` scalar values) into
@@ -296,68 +295,6 @@ impl EditDistanceKernel for BitParallelKernel {
     }
 }
 
-/// Which [`EditDistanceKernel`] the pipeline should use; selected via
-/// `Dogmatix::builder().edit_kernel(...)` or CLI `--edit-kernel`.
-///
-/// Kernels are exact, so the choice never changes detection results —
-/// only throughput. [`EditKernelChoice::BitParallel`] is the default.
-///
-/// # Examples
-/// ```
-/// use dogmatix_textsim::kernel::EditKernelChoice;
-/// assert_eq!("bitpar".parse(), Ok(EditKernelChoice::BitParallel));
-/// assert_eq!("scalar".parse(), Ok(EditKernelChoice::Scalar));
-/// assert_eq!(EditKernelChoice::default(), EditKernelChoice::BitParallel);
-/// assert!("simd".parse::<EditKernelChoice>().is_err());
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EditKernelChoice {
-    /// The banded two-row scalar DP ([`ScalarKernel`]).
-    Scalar,
-    /// Myers' bit-parallel algorithm ([`BitParallelKernel`]).
-    #[default]
-    BitParallel,
-}
-
-impl EditKernelChoice {
-    /// The selected kernel as a shared trait object.
-    pub fn kernel(self) -> &'static dyn EditDistanceKernel {
-        match self {
-            EditKernelChoice::Scalar => &ScalarKernel,
-            EditKernelChoice::BitParallel => &BitParallelKernel,
-        }
-    }
-
-    /// The CLI spelling of this choice.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            EditKernelChoice::Scalar => "scalar",
-            EditKernelChoice::BitParallel => "bitpar",
-        }
-    }
-}
-
-impl fmt::Display for EditKernelChoice {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl FromStr for EditKernelChoice {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "scalar" => Ok(EditKernelChoice::Scalar),
-            "bitpar" => Ok(EditKernelChoice::BitParallel),
-            // dxlint: allow(no-hot-alloc) — cold CLI parse-error path, never per-comparison
-            other => Err(format!(
-                "edit kernel must be 'scalar' or 'bitpar', got '{other}'"
-            )),
-        }
-    }
-}
-
 thread_local! {
     /// Shared scratch behind the thin free-function wrappers
     /// (`ned`, `ned_within`, `levenshtein*`, `bag_distance_lower_bound`).
@@ -434,16 +371,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn choice_round_trips_and_selects() {
-        for choice in [EditKernelChoice::Scalar, EditKernelChoice::BitParallel] {
-            assert_eq!(choice.as_str().parse::<EditKernelChoice>(), Ok(choice));
-            assert_eq!(choice.kernel().name(), choice.as_str());
-            assert_eq!(choice.to_string(), choice.as_str());
-        }
-        assert!("".parse::<EditKernelChoice>().is_err());
     }
 
     #[test]

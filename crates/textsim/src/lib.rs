@@ -52,9 +52,7 @@ pub use bounds::{
 pub use idf::{idf, soft_idf};
 pub use jaccard::{jaccard_tokens, overlap_coefficient};
 pub use jaro::{jaro, jaro_winkler};
-pub use kernel::{
-    BitParallelKernel, EditDistanceKernel, EditKernelChoice, KernelScratch, ScalarKernel,
-};
+pub use kernel::{BitParallelKernel, EditDistanceKernel, KernelScratch, ScalarKernel};
 pub use levenshtein::{levenshtein, levenshtein_bounded};
 pub use minhash::{
     band_keys, band_keys_into, minhash_signature, minhash_signature_into, mix64, token_hash, Fnv1a,

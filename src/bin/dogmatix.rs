@@ -14,10 +14,6 @@
 //!   --theta-cand <f>       duplicate threshold               (default 0.55)
 //!   --threads <N>          comparison worker threads; 0 = all cores
 //!                          (default 0)
-//!   --edit-kernel <k>      edit-distance kernel for the comparison
-//!                          phase: 'bitpar' (Myers' bit-parallel
-//!                          algorithm, default) or 'scalar' (banded DP);
-//!                          kernels are exact, so results are identical
 //!   --blocking <qgram|lsh> replace the object filter with a blocking
 //!                          stage: a positional q-gram index (q = 2,
 //!                          provable superset at θ_tuple) or banded
@@ -69,12 +65,13 @@
 use dogmatix_repro::core::auto;
 use dogmatix_repro::core::backend::SnapshotBackend;
 use dogmatix_repro::core::filter::{MinHashLshBlocking, QGramBlocking};
-use dogmatix_repro::core::fusion::{fuse_clusters, FusionConfig};
+use dogmatix_repro::core::fusion::fuse_clusters;
 use dogmatix_repro::core::heuristics::{table4_heuristic, HeuristicExpr};
 use dogmatix_repro::core::incremental::DocumentDelta;
-use dogmatix_repro::core::pipeline::{DetectionResult, Dogmatix};
+use dogmatix_repro::core::pipeline::{
+    check_threshold, DetectionResult, Dogmatix, DEFAULT_THETA_CAND, DEFAULT_THETA_TUPLE,
+};
 use dogmatix_repro::core::probe::{ProbeBlocking, ProbeScratch, ProbeSnapshot};
-use dogmatix_repro::core::sim::EditKernelChoice;
 use dogmatix_repro::core::Mapping;
 use dogmatix_repro::xml::{Document, Schema};
 use std::process::ExitCode;
@@ -90,7 +87,6 @@ struct Options {
     theta_tuple: f64,
     theta_cand: f64,
     threads: usize,
-    edit_kernel: EditKernelChoice,
     blocking: Option<Blocking>,
     index_save: Option<String>,
     index_load: Option<String>,
@@ -137,7 +133,6 @@ const KNOWN_FLAGS: &[&str] = &[
     "--theta-tuple",
     "--theta-cand",
     "--threads",
-    "--edit-kernel",
     "--blocking",
     "--index-save",
     "--index-load",
@@ -177,10 +172,9 @@ fn parse_args() -> Result<Options, String> {
         schema_file: None,
         heuristic: "rd:1".to_string(),
         exp: 1,
-        theta_tuple: 0.15,
-        theta_cand: 0.55,
+        theta_tuple: DEFAULT_THETA_TUPLE,
+        theta_cand: DEFAULT_THETA_CAND,
         threads: 0,
-        edit_kernel: EditKernelChoice::default(),
         blocking: None,
         index_save: None,
         index_load: None,
@@ -210,21 +204,18 @@ fn parse_args() -> Result<Options, String> {
                     .map_err(|_| "--exp must be 1..8".to_string())?
             }
             "--theta-tuple" => {
-                opts.theta_tuple = value("--theta-tuple")?
-                    .parse()
-                    .map_err(|_| "--theta-tuple must be a number".to_string())?
+                opts.theta_tuple =
+                    parse_threshold("--theta-tuple", "theta_tuple", &value("--theta-tuple")?)?
             }
             "--theta-cand" => {
-                opts.theta_cand = value("--theta-cand")?
-                    .parse()
-                    .map_err(|_| "--theta-cand must be a number".to_string())?
+                opts.theta_cand =
+                    parse_threshold("--theta-cand", "theta_cand", &value("--theta-cand")?)?
             }
             "--threads" => {
                 opts.threads = value("--threads")?
                     .parse()
                     .map_err(|_| "--threads must be a non-negative integer".to_string())?
             }
-            "--edit-kernel" => opts.edit_kernel = value("--edit-kernel")?.parse()?,
             "--blocking" => opts.blocking = Some(value("--blocking")?.parse()?),
             "--index-save" => opts.index_save = Some(value("--index-save")?),
             "--index-load" => opts.index_load = Some(value("--index-load")?),
@@ -281,11 +272,20 @@ fn parse_args() -> Result<Options, String> {
     Ok(opts)
 }
 
+/// Parses a `--theta-*` value and range-checks it here, before any
+/// stage is built from it: blocking and probe stages assert their
+/// threshold on construction.
+fn parse_threshold(flag: &str, name: &str, text: &str) -> Result<f64, String> {
+    let theta = text
+        .parse()
+        .map_err(|_| format!("{flag} must be a number"))?;
+    check_threshold(name, theta).map_err(|e| e.to_string())
+}
+
 const HELP: &str = "usage: dogmatix <input.xml> --type <NAME> \
 [--mapping m.txt | --candidates /path] [--schema s.xsd] \
 [--heuristic rd:<r>|ra:<r>|kc:<k>|auto] [--exp 1..8] \
-[--theta-tuple f] [--theta-cand f] [--threads N] \
-[--edit-kernel scalar|bitpar] [--blocking qgram|lsh] \
+[--theta-tuple f] [--theta-cand f] [--threads N] [--blocking qgram|lsh] \
 [--no-filter] [--fuse] \
 [--index-save f | --index-load f [--mem-budget bytes]] \
 [--output out.xml] [--deltas script.txt] \
@@ -364,8 +364,7 @@ fn run(opts: Options) -> Result<(), String> {
         .heuristic(heuristic)
         .theta_tuple(opts.theta_tuple)
         .theta_cand(opts.theta_cand)
-        .threads(opts.threads)
-        .edit_kernel(opts.edit_kernel);
+        .threads(opts.threads);
     if !opts.use_filter {
         builder = builder.no_filter();
     }
@@ -435,14 +434,7 @@ fn run(opts: Options) -> Result<(), String> {
     }
 
     if opts.fuse {
-        let fused = fuse_clusters(
-            &doc,
-            &result.candidates,
-            &result.clusters,
-            FusionConfig {
-                theta_tuple: opts.theta_tuple,
-            },
-        );
+        let fused = fuse_clusters(&doc, &result.candidates, &result.clusters, opts.theta_tuple);
         let fused_path = format!("{}.fused.xml", opts.input.trim_end_matches(".xml"));
         std::fs::write(&fused_path, fused.to_xml_pretty())
             .map_err(|e| format!("cannot write {fused_path}: {e}"))?;

@@ -219,15 +219,71 @@ fn blocking_flag_rejects_unknown_strategies() {
 #[test]
 fn unknown_flag_is_named_and_corrected() {
     let paths = write_sample();
-    let out = dogmatix()
-        .arg(&paths.input)
-        .args(["--type", "MOVIE", "--thread", "2"])
-        .output()
-        .expect("binary runs");
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown flag '--thread'"), "{stderr}");
-    assert!(stderr.contains("did you mean '--threads'?"), "{stderr}");
+    // A near miss gets a suggestion; a flag far from every known one is
+    // only named.
+    for (flag, value, suggestion) in [
+        ("--thread", "2", Some("--threads")),
+        ("--edit-kernel", "scalar", None),
+    ] {
+        let out = dogmatix()
+            .arg(&paths.input)
+            .args(["--type", "MOVIE", flag, value])
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(1), "{flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag '{flag}'")),
+            "{stderr}"
+        );
+        match suggestion {
+            Some(known) => assert!(
+                stderr.contains(&format!("did you mean '{known}'?")),
+                "{stderr}"
+            ),
+            None => assert!(!stderr.contains("did you mean"), "{stderr}"),
+        }
+    }
+    let _ = std::fs::remove_dir_all(&paths.dir);
+}
+
+/// An out-of-range threshold is a clean usage error on every path —
+/// including the blocking and probe stages, which are built straight
+/// from the flag value and assert their threshold on construction.
+#[test]
+fn out_of_range_thresholds_exit_cleanly_on_every_path() {
+    let paths = write_sample();
+    for (flag, name) in [
+        ("--theta-tuple", "theta_tuple"),
+        ("--theta-cand", "theta_cand"),
+    ] {
+        for bad in ["1.5", "-0.1", "NaN"] {
+            for mode in [
+                &[][..],
+                &["--blocking", "qgram"][..],
+                &["--probe", "<movie><title>The Matrix</title></movie>"][..],
+            ] {
+                let out = dogmatix()
+                    .arg(&paths.input)
+                    .args(["--type", "MOVIE", "--candidates", "/moviedoc/movie"])
+                    .args([flag, bad])
+                    .args(mode)
+                    .output()
+                    .expect("binary runs");
+                let stderr = String::from_utf8_lossy(&out.stderr);
+                assert_eq!(
+                    out.status.code(),
+                    Some(1),
+                    "{flag} {bad} {mode:?}: {stderr}"
+                );
+                assert!(
+                    stderr.contains(&format!("{name} must be within [0, 1], got {bad}")),
+                    "{flag} {bad} {mode:?}: {stderr}"
+                );
+                assert!(!stderr.contains("panicked"), "{stderr}");
+            }
+        }
+    }
     let _ = std::fs::remove_dir_all(&paths.dir);
 }
 

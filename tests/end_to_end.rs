@@ -2,7 +2,7 @@
 //! pipeline (datagen → xml → core → eval).
 
 use dogmatix_repro::core::heuristics::{table4_heuristic, HeuristicExpr};
-use dogmatix_repro::core::pipeline::{Dogmatix, DogmatixConfig};
+use dogmatix_repro::core::pipeline::Dogmatix;
 use dogmatix_repro::datagen::datasets::{dataset1_sized, dataset2_sized};
 use dogmatix_repro::eval::metrics::pair_metrics;
 use dogmatix_repro::eval::setup;
@@ -12,7 +12,7 @@ fn dataset1_detection_is_effective_at_k6() {
     let (doc, gold) = dataset1_sized(21, 60);
     let schema = setup::cd_schema();
     let heuristic = table4_heuristic(HeuristicExpr::k_closest_descendants(6), 1);
-    let dx = Dogmatix::new(setup::paper_config(heuristic), setup::cd_mapping());
+    let dx = setup::paper_detector(heuristic, setup::cd_mapping());
     let result = dx.run(&doc, &schema, setup::CD_TYPE).unwrap();
     let m = pair_metrics(&result.duplicate_pairs, &gold);
     assert!(m.recall() > 0.85, "recall {}", m.recall());
@@ -24,18 +24,19 @@ fn without_filter_detects_a_superset_of_pairs() {
     let (doc, _) = dataset1_sized(3, 40);
     let schema = setup::cd_schema();
     let heuristic = table4_heuristic(HeuristicExpr::k_closest_descendants(6), 1);
-    let with = Dogmatix::new(setup::paper_config(heuristic.clone()), setup::cd_mapping())
+    let with = setup::paper_detector(heuristic.clone(), setup::cd_mapping())
         .run(&doc, &schema, setup::CD_TYPE)
         .unwrap();
-    let without = Dogmatix::new(
-        DogmatixConfig {
-            use_filter: false,
-            ..setup::paper_config(heuristic)
-        },
-        setup::cd_mapping(),
-    )
-    .run(&doc, &schema, setup::CD_TYPE)
-    .unwrap();
+    let without = Dogmatix::builder()
+        .mapping(setup::cd_mapping())
+        .heuristic(heuristic)
+        .theta_tuple(setup::THETA_TUPLE)
+        .theta_cand(setup::THETA_CAND)
+        .threads(0)
+        .no_filter()
+        .build()
+        .run(&doc, &schema, setup::CD_TYPE)
+        .unwrap();
     // The filter can only remove pairs, never invent them.
     for pair in &with.duplicate_pairs {
         assert!(
@@ -52,15 +53,15 @@ fn parallel_equals_sequential_on_dataset1() {
     let schema = setup::cd_schema();
     let heuristic = table4_heuristic(HeuristicExpr::k_closest_descendants(4), 1);
     let run_with = |threads: usize| {
-        Dogmatix::new(
-            DogmatixConfig {
-                threads,
-                ..setup::paper_config(heuristic.clone())
-            },
-            setup::cd_mapping(),
-        )
-        .run(&doc, &schema, setup::CD_TYPE)
-        .unwrap()
+        Dogmatix::builder()
+            .mapping(setup::cd_mapping())
+            .heuristic(heuristic.clone())
+            .theta_tuple(setup::THETA_TUPLE)
+            .theta_cand(setup::THETA_CAND)
+            .threads(threads)
+            .build()
+            .run(&doc, &schema, setup::CD_TYPE)
+            .unwrap()
     };
     let seq = run_with(1);
     let par = run_with(4);
@@ -75,7 +76,7 @@ fn detection_is_deterministic() {
     let schema = setup::cd_schema();
     let heuristic = table4_heuristic(HeuristicExpr::k_closest_descendants(5), 2);
     let run = || {
-        Dogmatix::new(setup::paper_config(heuristic.clone()), setup::cd_mapping())
+        setup::paper_detector(heuristic.clone(), setup::cd_mapping())
             .run(&doc, &schema, setup::CD_TYPE)
             .unwrap()
     };
@@ -90,7 +91,7 @@ fn detected_pairs_only_involve_unpruned_candidates() {
     let (doc, _) = dataset1_sized(31, 60);
     let schema = setup::cd_schema();
     let heuristic = table4_heuristic(HeuristicExpr::k_closest_descendants(6), 1);
-    let result = Dogmatix::new(setup::paper_config(heuristic), setup::cd_mapping())
+    let result = setup::paper_detector(heuristic, setup::cd_mapping())
         .run(&doc, &schema, setup::CD_TYPE)
         .unwrap();
     for (i, j, sim) in &result.duplicate_pairs {
@@ -104,7 +105,7 @@ fn clusters_are_the_transitive_closure_of_pairs() {
     let (doc, _) = dataset1_sized(13, 60);
     let schema = setup::cd_schema();
     let heuristic = table4_heuristic(HeuristicExpr::k_closest_descendants(3), 1);
-    let result = Dogmatix::new(setup::paper_config(heuristic), setup::cd_mapping())
+    let result = setup::paper_detector(heuristic, setup::cd_mapping())
         .run(&doc, &schema, setup::CD_TYPE)
         .unwrap();
     // Every detected pair lands in the same cluster.
@@ -130,7 +131,7 @@ fn dataset2_cross_source_duplicates_are_found() {
     let (doc, gold) = dataset2_sized(19, 50);
     let schema = setup::movie_schema(&doc);
     let heuristic = table4_heuristic(HeuristicExpr::r_distant_descendants(2), 2);
-    let result = Dogmatix::new(setup::paper_config(heuristic), setup::movie_mapping())
+    let result = setup::paper_detector(heuristic, setup::movie_mapping())
         .run(&doc, &schema, setup::MOVIE_TYPE)
         .unwrap();
     let m = pair_metrics(&result.duplicate_pairs, &gold);
@@ -152,7 +153,7 @@ fn output_document_roundtrips_through_the_parser() {
     let (doc, _) = dataset1_sized(2, 30);
     let schema = setup::cd_schema();
     let heuristic = table4_heuristic(HeuristicExpr::k_closest_descendants(6), 1);
-    let result = Dogmatix::new(setup::paper_config(heuristic), setup::cd_mapping())
+    let result = setup::paper_detector(heuristic, setup::cd_mapping())
         .run(&doc, &schema, setup::CD_TYPE)
         .unwrap();
     let out = result.to_xml(&doc);

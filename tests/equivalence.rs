@@ -1,12 +1,13 @@
-//! Equivalence suite: the builder API must reproduce the exact
-//! `DetectionResult` of the legacy `DogmatixConfig` path — same pairs,
-//! same similarities, same filter values, same clusters, same stats —
-//! on both evaluation corpora and at every thread count, with and
-//! without the object filter, through `run` and through a reused
-//! `DetectionSession`.
+//! Equivalence suite: every way of running a detector must reproduce
+//! the exact `DetectionResult` of a one-shot `run` — same pairs, same
+//! similarities, same filter values, same clusters, same stats — on
+//! both evaluation corpora and at every thread count, with and without
+//! the object filter, through a fresh and a reused `DetectionSession`,
+//! through explicitly spelled-out stages and through snapshot backends.
+//! A golden checksum pins the default detector's output itself.
 
 use dogmatix_repro::core::heuristics::{table4_heuristic, HeuristicExpr};
-use dogmatix_repro::core::pipeline::{DetectionResult, DetectionSession, Dogmatix, DogmatixConfig};
+use dogmatix_repro::core::pipeline::{DetectionResult, DetectionSession, Dogmatix};
 use dogmatix_repro::core::Mapping;
 use dogmatix_repro::datagen::datasets::{dataset1_sized, dataset2_sized};
 use dogmatix_repro::eval::setup;
@@ -14,9 +15,8 @@ use dogmatix_repro::xml::{Document, Schema};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 0];
 
-/// Runs the legacy constructor and the builder (via `run`, via a fresh
-/// session, and via a reused session) and asserts all four results are
-/// identical.
+/// Runs the builder's detector via `run`, via a fresh session and via a
+/// reused session, and asserts all three results are identical.
 fn assert_equivalent(
     doc: &Document,
     schema: &Schema,
@@ -26,17 +26,6 @@ fn assert_equivalent(
     use_filter: bool,
     threads: usize,
 ) -> DetectionResult {
-    let config = DogmatixConfig {
-        theta_tuple: setup::THETA_TUPLE,
-        theta_cand: setup::THETA_CAND,
-        heuristic: heuristic.clone(),
-        use_filter,
-        threads,
-    };
-    let legacy = Dogmatix::new(config, mapping.clone())
-        .run(doc, schema, rw_type)
-        .expect("legacy path runs");
-
     let mut builder = Dogmatix::builder()
         .mapping(mapping.clone())
         .heuristic(heuristic.clone())
@@ -49,22 +38,21 @@ fn assert_equivalent(
     let built = builder.build();
 
     let via_run = built.run(doc, schema, rw_type).expect("builder run");
-    assert_eq!(legacy, via_run, "builder.run diverges (threads={threads})");
 
     let session = DetectionSession::new(doc, schema, mapping, rw_type).expect("session opens");
     let via_session = built.detect(&session).expect("session detect");
     assert_eq!(
-        legacy, via_session,
+        via_run, via_session,
         "session detect diverges (threads={threads})"
     );
     let via_cached_session = built.detect(&session).expect("cached session detect");
     assert_eq!(
-        legacy, via_cached_session,
+        via_run, via_cached_session,
         "cached-OD rerun diverges (threads={threads})"
     );
     assert_eq!(session.cached_od_sets(), 1, "one selection, one OD set");
 
-    legacy
+    via_run
 }
 
 #[test]
@@ -147,30 +135,44 @@ fn explicit_default_stages_equal_derived_defaults() {
     use dogmatix_repro::core::filter::ObjectFilter;
     use dogmatix_repro::core::sim::SoftIdfMeasure;
 
-    let (doc, _) = dataset1_sized(11, 40);
-    let schema = setup::cd_schema();
-    let mapping = setup::cd_mapping();
-    let heuristic = table4_heuristic(HeuristicExpr::k_closest_descendants(6), 1);
-
-    let derived = Dogmatix::builder()
-        .mapping(mapping.clone())
-        .heuristic(heuristic.clone())
-        .theta_tuple(setup::THETA_TUPLE)
-        .theta_cand(setup::THETA_CAND)
-        .build()
-        .run(&doc, &schema, setup::CD_TYPE)
-        .unwrap();
-    let explicit = Dogmatix::builder()
-        .mapping(mapping)
-        .selector(heuristic)
-        .filter(ObjectFilter::new(setup::THETA_TUPLE, setup::THETA_CAND))
-        .measure(SoftIdfMeasure::new(setup::THETA_TUPLE))
-        .classifier(ThresholdClassifier::new(setup::THETA_CAND))
-        .clusterer(TransitiveClosure)
-        .build()
-        .run(&doc, &schema, setup::CD_TYPE)
-        .unwrap();
-    assert_eq!(derived, explicit);
+    let (cd, _) = dataset1_sized(11, 40);
+    let (movie, _) = dataset2_sized(7, 40);
+    for (doc, schema, mapping, heuristic, rw_type) in [
+        (
+            &cd,
+            setup::cd_schema(),
+            setup::cd_mapping(),
+            table4_heuristic(HeuristicExpr::k_closest_descendants(6), 1),
+            setup::CD_TYPE,
+        ),
+        (
+            &movie,
+            setup::movie_schema(&movie),
+            setup::movie_mapping(),
+            table4_heuristic(HeuristicExpr::r_distant_descendants(2), 2),
+            setup::MOVIE_TYPE,
+        ),
+    ] {
+        let derived = Dogmatix::builder()
+            .mapping(mapping.clone())
+            .heuristic(heuristic.clone())
+            .theta_tuple(setup::THETA_TUPLE)
+            .theta_cand(setup::THETA_CAND)
+            .build()
+            .run(doc, &schema, rw_type)
+            .unwrap();
+        let explicit = Dogmatix::builder()
+            .mapping(mapping)
+            .selector(heuristic)
+            .filter(ObjectFilter::new(setup::THETA_TUPLE, setup::THETA_CAND))
+            .measure(SoftIdfMeasure::new(setup::THETA_TUPLE))
+            .classifier(ThresholdClassifier::new(setup::THETA_CAND))
+            .clusterer(TransitiveClosure)
+            .build()
+            .run(doc, &schema, rw_type)
+            .unwrap();
+        assert_eq!(derived, explicit, "{rw_type}");
+    }
 }
 
 #[test]
@@ -197,7 +199,7 @@ fn sweep_over_one_session_matches_independent_runs() {
 }
 
 /// The snapshot-backend path: a run that persists its term index and a
-/// run warm-started from that snapshot must both equal the legacy
+/// run warm-started from that snapshot must both equal the plain
 /// in-memory result exactly — on both corpora, sequential and threaded.
 #[test]
 fn snapshot_warm_start_equivalence_on_both_corpora() {
@@ -380,77 +382,6 @@ fn every_public_stage_impl_is_exercised() {
     assert!(manual.stats.pairs_compared > 0);
 }
 
-/// The edit-distance kernels are exact, so `--edit-kernel scalar` and
-/// `--edit-kernel bitpar` must produce bit-identical `DetectionResult`s
-/// — same pairs, same similarity values — on both corpora, sequential
-/// and threaded, whether selected through the builder or through an
-/// explicit `SoftIdfMeasure::with_kernel` stage.
-#[test]
-fn edit_kernel_equivalence_on_both_corpora() {
-    use dogmatix_repro::core::sim::{EditKernelChoice, SoftIdfMeasure};
-
-    let cd = {
-        let (doc, _) = dataset1_sized(21, 60);
-        (
-            doc,
-            setup::cd_schema(),
-            setup::cd_mapping(),
-            table4_heuristic(HeuristicExpr::k_closest_descendants(6), 1),
-            setup::CD_TYPE,
-        )
-    };
-    let movie = {
-        let (doc, _) = dataset2_sized(7, 40);
-        let schema = setup::movie_schema(&doc);
-        (
-            doc,
-            schema,
-            setup::movie_mapping(),
-            table4_heuristic(HeuristicExpr::r_distant_descendants(2), 2),
-            setup::MOVIE_TYPE,
-        )
-    };
-    for (tag, (doc, schema, mapping, heuristic, rw_type)) in [("cd", cd), ("movie", movie)] {
-        let build = |choice: EditKernelChoice, threads: usize| {
-            Dogmatix::builder()
-                .mapping(mapping.clone())
-                .heuristic(heuristic.clone())
-                .theta_tuple(setup::THETA_TUPLE)
-                .theta_cand(setup::THETA_CAND)
-                .edit_kernel(choice)
-                .threads(threads)
-                .build()
-                .run(&doc, &schema, rw_type)
-                .expect("run succeeds")
-        };
-        let reference = build(EditKernelChoice::BitParallel, 1);
-        assert!(
-            !reference.duplicate_pairs.is_empty(),
-            "{tag} has duplicates"
-        );
-        for choice in [EditKernelChoice::Scalar, EditKernelChoice::BitParallel] {
-            for threads in [1usize, 2, 0] {
-                let result = build(choice, threads);
-                assert_eq!(
-                    reference, result,
-                    "{tag}: kernel {choice} (threads {threads}) diverged"
-                );
-            }
-            // The explicit-measure spelling of the same selection.
-            let explicit = Dogmatix::builder()
-                .mapping(mapping.clone())
-                .heuristic(heuristic.clone())
-                .theta_tuple(setup::THETA_TUPLE)
-                .theta_cand(setup::THETA_CAND)
-                .measure(SoftIdfMeasure::with_kernel(setup::THETA_TUPLE, choice))
-                .build()
-                .run(&doc, &schema, rw_type)
-                .expect("run succeeds");
-            assert_eq!(reference, explicit, "{tag}: explicit {choice} diverged");
-        }
-    }
-}
-
 /// A budgeted snapshot load is an out-of-core drop-in: on both
 /// corpora, sequential and threaded, its results are bit-identical to
 /// the in-memory build while its buffer pool provably stays under a
@@ -532,3 +463,81 @@ fn paged_backend_equivalence_on_both_corpora() {
         let _ = std::fs::remove_file(&path);
     }
 }
+
+/// FNV-1a finished with splitmix64 over a result's observable fields:
+/// duplicate pairs with their similarity bits, filter values, pruning,
+/// clusters and run counters.
+fn result_checksum(r: &DetectionResult) -> u64 {
+    let mut h = dogmatix_repro::textsim::Fnv1a::new();
+    let mut put = |v: u64| h.update(&v.to_le_bytes());
+    for &(i, j, sim) in &r.duplicate_pairs {
+        put(i as u64);
+        put(j as u64);
+        put(sim.to_bits());
+    }
+    for f in &r.f_values {
+        put(f.to_bits());
+    }
+    for &p in &r.pruned {
+        put(p as u64);
+    }
+    for cluster in &r.clusters {
+        put(cluster.len() as u64);
+        for &m in cluster {
+            put(m as u64);
+        }
+    }
+    let s = r.stats;
+    for v in [
+        s.candidates,
+        s.pruned_by_filter,
+        s.pairs_total,
+        s.pairs_compared,
+    ] {
+        put(v as u64);
+    }
+    dogmatix_repro::textsim::mix64(h.finish())
+}
+
+/// The detector every unset builder option yields — the paper's
+/// thresholds, the `rd:1` heuristic, the object filter, one thread —
+/// pinned by the checksum of its output on both corpora, so any drift
+/// in a default changes a golden value here.
+#[test]
+fn default_detector_output_is_pinned_by_golden_checksums() {
+    let (cd, _) = dataset1_sized(21, 60);
+    let (movie, _) = dataset2_sized(7, 40);
+    for (tag, doc, schema, mapping, rw_type, golden) in [
+        (
+            "cd",
+            &cd,
+            setup::cd_schema(),
+            setup::cd_mapping(),
+            setup::CD_TYPE,
+            GOLDEN_CD,
+        ),
+        (
+            "movie",
+            &movie,
+            setup::movie_schema(&movie),
+            setup::movie_mapping(),
+            setup::MOVIE_TYPE,
+            GOLDEN_MOVIE,
+        ),
+    ] {
+        let result = Dogmatix::builder()
+            .mapping(mapping)
+            .build()
+            .run(doc, &schema, rw_type)
+            .expect("run succeeds");
+        assert!(!result.duplicate_pairs.is_empty(), "{tag} has duplicates");
+        assert_eq!(
+            result_checksum(&result),
+            golden,
+            "{tag}: default output changed"
+        );
+    }
+}
+
+const GOLDEN_CD: u64 = 18270257203194708499;
+const GOLDEN_MOVIE: u64 = 11129032841114345843;

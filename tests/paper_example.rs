@@ -5,7 +5,7 @@
 //! the Fig. 3 output document.
 
 use dogmatix_repro::core::heuristics::HeuristicExpr;
-use dogmatix_repro::core::pipeline::{Dogmatix, DogmatixConfig};
+use dogmatix_repro::core::pipeline::Dogmatix;
 use dogmatix_repro::core::Mapping;
 use dogmatix_repro::xml::{Document, Schema};
 
@@ -39,13 +39,12 @@ fn table3_mapping() -> Mapping {
 fn run_example() -> (Document, dogmatix_repro::core::DetectionResult) {
     let doc = table1_document();
     let schema = Schema::infer(&doc).expect("inference works on the example");
-    let config = DogmatixConfig {
-        heuristic: HeuristicExpr::r_distant_descendants(2),
-        theta_tuple: 0.45, // admits "Matrix" ~ "The Matrix" (ned 0.4)
-        use_filter: false, // 3 candidates need no comparison reduction
-        ..DogmatixConfig::default()
-    };
-    let result = Dogmatix::new(config, table3_mapping())
+    let result = Dogmatix::builder()
+        .mapping(table3_mapping())
+        .heuristic(HeuristicExpr::r_distant_descendants(2))
+        .theta_tuple(0.45) // admits "Matrix" ~ "The Matrix" (ned 0.4)
+        .no_filter() // 3 candidates need no comparison reduction
+        .build()
         .run(&doc, &schema, "MOVIE")
         .expect("the example pipeline runs");
     (doc, result)

@@ -1,9 +1,9 @@
 //! Robustness: the pipeline on degenerate and messy corpora must produce
 //! sensible results (or typed errors) — never panics.
 
-use dogmatix_repro::core::fusion::{fuse_clusters, FusionConfig};
+use dogmatix_repro::core::fusion::fuse_clusters;
 use dogmatix_repro::core::heuristics::HeuristicExpr;
-use dogmatix_repro::core::pipeline::{Dogmatix, DogmatixConfig};
+use dogmatix_repro::core::pipeline::{Dogmatix, DEFAULT_THETA_TUPLE};
 use dogmatix_repro::core::Mapping;
 use dogmatix_repro::xml::{Document, Schema};
 
@@ -12,15 +12,12 @@ fn run(xml: &str, candidate: &str) -> dogmatix_repro::core::DetectionResult {
     let schema = Schema::infer(&doc).unwrap();
     let mut mapping = Mapping::new();
     mapping.add_type("T", [candidate]);
-    Dogmatix::new(
-        DogmatixConfig {
-            heuristic: HeuristicExpr::r_distant_descendants(2),
-            ..DogmatixConfig::default()
-        },
-        mapping,
-    )
-    .run(&doc, &schema, "T")
-    .expect("pipeline must handle degenerate corpora")
+    Dogmatix::builder()
+        .mapping(mapping)
+        .heuristic(HeuristicExpr::r_distant_descendants(2))
+        .build()
+        .run(&doc, &schema, "T")
+        .expect("pipeline must handle degenerate corpora")
 }
 
 #[test]
@@ -111,22 +108,19 @@ fn fusion_of_detected_clusters_shrinks_the_corpus() {
     let schema = Schema::infer(&doc).unwrap();
     let mut mapping = Mapping::new();
     mapping.add_type("T", ["/db/item"]);
-    let result = Dogmatix::new(
-        DogmatixConfig {
-            heuristic: HeuristicExpr::r_distant_descendants(1),
-            use_filter: false,
-            ..DogmatixConfig::default()
-        },
-        mapping,
-    )
-    .run(&doc, &schema, "T")
-    .unwrap();
+    let result = Dogmatix::builder()
+        .mapping(mapping)
+        .heuristic(HeuristicExpr::r_distant_descendants(1))
+        .no_filter()
+        .build()
+        .run(&doc, &schema, "T")
+        .unwrap();
     assert_eq!(result.clusters.len(), 1);
     let fused = fuse_clusters(
         &doc,
         &result.candidates,
         &result.clusters,
-        FusionConfig::default(),
+        DEFAULT_THETA_TUPLE,
     );
     assert_eq!(fused.select("/db/item").unwrap().len(), 2);
 }
@@ -156,17 +150,14 @@ fn threshold_extremes() {
     let mut mapping = Mapping::new();
     mapping.add_type("T", ["/db/item"]);
     let run_theta = |theta_cand: f64| {
-        Dogmatix::new(
-            DogmatixConfig {
-                heuristic: HeuristicExpr::r_distant_descendants(1),
-                theta_cand,
-                use_filter: false,
-                ..DogmatixConfig::default()
-            },
-            mapping.clone(),
-        )
-        .run(&doc, &schema, "T")
-        .unwrap()
+        Dogmatix::builder()
+            .mapping(mapping.clone())
+            .heuristic(HeuristicExpr::r_distant_descendants(1))
+            .theta_cand(theta_cand)
+            .no_filter()
+            .build()
+            .run(&doc, &schema, "T")
+            .unwrap()
     };
     // θ_cand = 1.0: sim > 1 is impossible → nothing detected.
     assert!(run_theta(1.0).duplicate_pairs.is_empty());
