@@ -44,6 +44,10 @@ PROPTEST_CASES=128 cargo test -q --test snapshot
 echo "==> WAL kill-and-recover differential + corruption matrix at CI depth (PROPTEST_CASES=128)"
 PROPTEST_CASES=128 cargo test -q --test wal
 
+echo "==> frozen-store append differential at CI depth (PROPTEST_CASES=128)"
+PROPTEST_CASES=128 cargo test -q -p dogmatix_core --lib \
+    od::tests::appending_to_a_frozen_store_equals_reinterning
+
 echo "==> edit-distance kernel differential suite at CI depth (PROPTEST_CASES=256)"
 PROPTEST_CASES=256 cargo test -q -p dogmatix_textsim --test kernel_differential
 
@@ -63,6 +67,12 @@ echo "==> probe bench sanity (mixed probe+ingest load; p99 gated against the"
 echo "    recorded baseline, candidate sets must stay sublinear in |Omega|)"
 cargo bench -q -p dogmatix_bench --bench probe >/dev/null
 test -s BENCH_probe.json || { echo "BENCH_probe.json was not written"; exit 1; }
+
+echo "==> size ladder (CD, LSH 48x2, threads 1, n = 250/1000/4000): probe p50 at"
+echo "    n=4000 <= 6 ms x allowance, and p50 per examined candidate must not grow"
+echo "    past 2x from n=250 to n=4000"
+cargo bench -q -p dogmatix_bench --bench ladder >/dev/null
+test -s BENCH_ladder.json || { echo "BENCH_ladder.json was not written"; exit 1; }
 
 echo "==> WAL bench sanity (group commit must amortise the fsync >= 5x and"
 echo "    stay within the recorded throughput baseline)"

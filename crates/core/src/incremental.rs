@@ -489,21 +489,17 @@ impl IncrementalSession {
                     .into(),
             });
         }
-        let mut parts: Vec<Arc<Vec<RawTuple>>> = Vec::with_capacity(self.candidates.len());
-        for &node in &self.candidates.nodes {
-            parts.push(Arc::clone(self.extraction.get(&node).ok_or_else(|| {
-                DogmatixError::Snapshot {
-                    message: format!("extraction cache misses candidate node {node}"),
-                }
-            })?));
-        }
+        debug_assert_eq!(prev.ods.len(), self.candidates.len());
+        let probe_node = self
+            .doc
+            .root_element()
+            .or_else(|| self.candidates.nodes.first().copied());
         Ok(crate::probe::ProbeSnapshot::from_parts(
-            Arc::new(self.doc.clone()),
+            probe_node,
             self.candidates.nodes.clone(),
             self.candidates.schema_paths.clone(),
             selections,
             self.mapping.clone(),
-            parts,
             Arc::clone(&prev.ods),
             Arc::clone(&prev.measure),
             Arc::clone(&prev.classifier),

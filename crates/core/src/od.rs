@@ -27,7 +27,7 @@
 //! pointer chase.
 
 use crate::mapping::Mapping;
-use crate::store::{PathId, Span, StoreBuilder, TermStore};
+use crate::store::{FrozenInterner, PathId, Span, StoreBuilder, TermStore};
 use dogmatix_xml::{Document, NodeId};
 use std::collections::{BTreeSet, HashMap};
 
@@ -275,7 +275,7 @@ impl OdSet {
         selections: &HashMap<String, BTreeSet<String>>,
         mapping: &Mapping,
     ) -> OdSet {
-        let mut interner = Interner::default();
+        let mut interner = Interner::new();
         for &cand in candidates {
             let cand_path = doc.name_path(cand);
             let raw = extract_raw_tuples(doc, cand, selections.get(&cand_path), mapping);
@@ -311,7 +311,7 @@ impl OdSet {
     where
         I: IntoIterator<Item = (NodeId, &'a [RawTuple])>,
     {
-        let mut interner = Interner::default();
+        let mut interner = Interner::new();
         for (cand, raw) in parts {
             interner.push(cand, raw);
         }
@@ -641,89 +641,152 @@ impl<'a> TermRef<'a> {
 
 /// Shared interning pass behind [`OdSet::build`] and
 /// [`OdSet::build_from_raw`]: drives a [`StoreBuilder`] and lays the
-/// tuple/group columns.
-#[derive(Default)]
+/// tuple/group columns of the set it finishes into.
 struct Interner {
     builder: StoreBuilder,
-    nodes: Vec<NodeId>,
-    od_starts: Vec<u32>,
-    tuple_term: Vec<TermId>,
-    tuple_value: Vec<Span>,
-    tuple_path: Vec<PathId>,
-    od_group_starts: Vec<u32>,
-    group_types: Vec<u32>,
-    group_starts: Vec<u32>,
-    group_tuples: Vec<u32>,
+    /// The set under construction (its store is laid by `finish`).
+    set: OdSet,
     /// Scratch: type id per tuple of the OD being pushed.
     scratch_types: Vec<u32>,
+    /// Scratch: distinct type ids of the OD being pushed.
+    scratch_groups: Vec<u32>,
     /// All tuple type ids (for the store's per-type stats).
     tuple_types: Vec<u32>,
 }
 
 impl Interner {
+    fn new() -> Self {
+        Interner {
+            builder: StoreBuilder::default(),
+            set: OdSet {
+                od_starts: vec![0],
+                group_starts: vec![0],
+                od_group_starts: vec![0],
+                ..OdSet::default()
+            },
+            scratch_types: Vec::new(),
+            scratch_groups: Vec::new(),
+            tuple_types: Vec::new(),
+        }
+    }
+
     /// Interns one candidate's tuples (in candidate order).
     fn push(&mut self, cand: NodeId, raw: &[RawTuple]) {
-        if self.od_starts.is_empty() {
-            self.od_starts.push(0);
-            self.group_starts.push(0);
-            self.od_group_starts.push(0);
-        }
-        let od_index = self.nodes.len() as u32;
+        let od_index = self.set.len() as u32;
         self.scratch_types.clear();
         for r in raw {
             let type_id = self.builder.intern_type(&r.rw_type);
             let term = self.builder.intern_term(type_id, &r.norm);
             self.builder.add_posting(term, od_index);
-            self.tuple_term.push(TermId(term));
-            self.tuple_value.push(self.builder.intern_value(&r.value));
-            self.tuple_path.push(self.builder.intern_path(&r.path));
+            self.set.tuple_term.push(TermId(term));
+            self.set
+                .tuple_value
+                .push(self.builder.intern_value(&r.value));
+            self.set.tuple_path.push(self.builder.intern_path(&r.path));
             self.scratch_types.push(type_id);
             self.tuple_types.push(type_id);
         }
-        // Group OD-local tuple indices by type id for the pairwise hot
-        // path (first-occurrence grouping, then sorted by type id —
-        // exactly the pre-columnar grouping).
-        let mut groups: Vec<(u32, Vec<u32>)> = Vec::new();
-        for (i, &ty) in self.scratch_types.iter().enumerate() {
-            match groups.iter_mut().find(|(t, _)| *t == ty) {
-                Some((_, idxs)) => idxs.push(i as u32),
-                None => groups.push((ty, vec![i as u32])),
-            }
-        }
-        groups.sort_by_key(|(ty, _)| *ty);
-        for (ty, idxs) in groups {
+        self.set
+            .close_object(cand, &self.scratch_types, &mut self.scratch_groups);
+    }
+
+    fn finish(mut self) -> OdSet {
+        let object_count = self.set.len();
+        self.set.store = self.builder.finish(object_count, &self.tuple_types);
+        self.set
+    }
+}
+
+/// Reusable buffers of [`OdSet::refill_appended`], so steady-state
+/// appends allocate nothing.
+#[derive(Debug, Default)]
+pub(crate) struct AppendScratch {
+    /// Type id per record tuple.
+    types: Vec<u32>,
+    /// Distinct type ids of the record (its groups).
+    groups: Vec<u32>,
+    /// Distinct stored terms the record holds.
+    touched: Vec<u32>,
+}
+
+impl OdSet {
+    /// Closes the object whose tuples were just pushed onto the tuple
+    /// columns (`types` holds their type ids): lays its type groups —
+    /// distinct type ids ascending, each with its OD-local tuple indices
+    /// in order, the layout the pairwise hot path merge-joins — and its
+    /// CSR offsets.
+    fn close_object(&mut self, node: NodeId, types: &[u32], groups: &mut Vec<u32>) {
+        groups.clear();
+        groups.extend_from_slice(types);
+        groups.sort_unstable();
+        groups.dedup();
+        for &ty in groups.iter() {
             self.group_types.push(ty);
-            self.group_tuples.extend_from_slice(&idxs);
+            self.group_tuples
+                .extend((0..types.len() as u32).filter(|&local| types[local as usize] == ty));
             self.group_starts.push(self.group_tuples.len() as u32);
         }
-        self.nodes.push(cand);
+        self.nodes.push(node);
         self.od_starts.push(self.tuple_term.len() as u32);
         self.od_group_starts.push(self.group_types.len() as u32);
     }
 
-    fn finish(self) -> OdSet {
-        let object_count = self.nodes.len();
-        let store = self.builder.finish(object_count, &self.tuple_types);
-        let mut od_starts = self.od_starts;
-        let mut group_starts = self.group_starts;
-        let mut od_group_starts = self.od_group_starts;
-        if od_starts.is_empty() {
-            od_starts.push(0);
-            group_starts.push(0);
-            od_group_starts.push(0);
+    /// Refills `self` with `base` plus `record` appended as object
+    /// `base.len()` on `node` — `==` to
+    /// `OdSet::build_from_raw(parts ++ [(node, record)])` when `base` is
+    /// the interning of `parts` and `frozen` was frozen from `base`
+    /// ([`OdSet::freeze`]).
+    ///
+    /// The stored columns are copied into `self`'s allocations; the
+    /// record is then interned as [`Interner::push`] would: a seen term
+    /// gains posting `base.len()`, an unseen term, type, path or value
+    /// takes the next id or arena span, and the IDF column and per-type
+    /// statistics are re-weighted for `|Ω| + 1`. Appending is linear in
+    /// the columns copied, not in re-interning every stored tuple.
+    pub(crate) fn refill_appended(
+        &mut self,
+        base: &OdSet,
+        frozen: &FrozenInterner,
+        node: NodeId,
+        record: &[RawTuple],
+        scratch: &mut AppendScratch,
+    ) {
+        self.nodes.clone_from(&base.nodes);
+        self.od_starts.clone_from(&base.od_starts);
+        self.tuple_term.clone_from(&base.tuple_term);
+        self.tuple_value.clone_from(&base.tuple_value);
+        self.tuple_path.clone_from(&base.tuple_path);
+        self.od_group_starts.clone_from(&base.od_group_starts);
+        self.group_types.clone_from(&base.group_types);
+        self.group_starts.clone_from(&base.group_starts);
+        self.group_tuples.clone_from(&base.group_tuples);
+        self.store.refill_from(&base.store);
+
+        let first = self.tuple_term.len();
+        scratch.types.clear();
+        scratch.touched.clear();
+        for tuple in record {
+            let (ty, term, value, path) =
+                self.store
+                    .append_tuple(&base.store, frozen, tuple, &self.tuple_value[first..]);
+            if (term as usize) < base.term_count() {
+                scratch.touched.push(term);
+            }
+            self.tuple_term.push(TermId(term));
+            self.tuple_value.push(value);
+            self.tuple_path.push(path);
+            scratch.types.push(ty);
         }
-        OdSet {
-            nodes: self.nodes,
-            store,
-            od_starts,
-            tuple_term: self.tuple_term,
-            tuple_value: self.tuple_value,
-            tuple_path: self.tuple_path,
-            od_group_starts,
-            group_types: self.group_types,
-            group_starts,
-            group_tuples: self.group_tuples,
-        }
+        scratch.touched.sort_unstable();
+        scratch.touched.dedup();
+        self.store
+            .finish_append(&base.store, frozen, &scratch.touched, &scratch.types);
+        self.close_object(node, &scratch.types, &mut scratch.groups);
+    }
+
+    /// Freezes this set's interner for [`OdSet::refill_appended`].
+    pub(crate) fn freeze(&self) -> FrozenInterner {
+        FrozenInterner::new(&self.store, &self.tuple_value)
     }
 }
 
@@ -872,7 +935,7 @@ fn push_tuple(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::mapping::CompositeRule;
     use std::collections::BTreeSet;
@@ -1195,5 +1258,215 @@ mod tests {
             total_tuples as usize,
             ods.iter().map(|od| od.tuple_count()).sum::<usize>()
         );
+    }
+
+    /// A corpus's candidates, extracted: the raw parts a store interns.
+    struct Corpus {
+        parts: Vec<(NodeId, Vec<RawTuple>)>,
+    }
+
+    impl Corpus {
+        fn extract(doc: &Document, mapping: Mapping, rw_type: &str) -> Corpus {
+            let schema = dogmatix_xml::Schema::infer(doc).unwrap();
+            let dx = crate::pipeline::Dogmatix::builder()
+                .mapping(mapping)
+                .heuristic(crate::heuristics::HeuristicExpr::r_distant_descendants(3))
+                .build();
+            let cands =
+                crate::candidate::select_candidates(doc, &schema, dx.mapping(), rw_type).unwrap();
+            let selections = crate::pipeline::selections_for_paths(
+                &schema,
+                &cands.schema_paths,
+                dx.selector_stage().as_ref(),
+            )
+            .unwrap();
+            let parts = cands
+                .nodes
+                .iter()
+                .map(|&node| {
+                    let sel = selections.get(&doc.name_path(node));
+                    (node, extract_raw_tuples(doc, node, sel, dx.mapping()))
+                })
+                .collect();
+            Corpus { parts }
+        }
+
+        fn tuples(&self) -> Vec<&RawTuple> {
+            self.parts.iter().flat_map(|(_, raw)| raw).collect()
+        }
+
+        fn interned(&self) -> OdSet {
+            OdSet::build_from_raw(self.parts.iter().map(|(n, raw)| (*n, raw.as_slice())))
+        }
+    }
+
+    /// The movie corpus mapping: both sources' candidates, the Table 6
+    /// description types and the PERSON composite.
+    pub(crate) fn movie_mapping() -> Mapping {
+        use dogmatix_datagen::movie;
+        let mut mapping = Mapping::new();
+        mapping.add_type("MOVIE", movie::MOVIE_CANDIDATE_PATHS);
+        for (name, paths) in movie::movie_description_types() {
+            mapping.add_type(name, paths);
+        }
+        mapping.add_composite(CompositeRule {
+            owner_path: "/integrated/filmdienst/movie/people/person".into(),
+            parts: vec!["firstname".into(), "lastname".into()],
+            rw_type: "PERSON".into(),
+        });
+        mapping
+    }
+
+    /// CD dataset 1, movie dataset 2 and the empty corpus.
+    fn corpora() -> &'static [Corpus] {
+        static CORPORA: std::sync::OnceLock<Vec<Corpus>> = std::sync::OnceLock::new();
+        CORPORA.get_or_init(|| {
+            use dogmatix_datagen::{cd, datasets};
+            let (cd_doc, _) = datasets::dataset1_sized(5, 12);
+            let mut cd_mapping = Mapping::new();
+            cd_mapping.add_type("DISC", [cd::CD_CANDIDATE_PATH]);
+            let (movie_doc, _) = datasets::dataset2_sized(5, 6);
+            let movie = Corpus::extract(&movie_doc, movie_mapping(), "MOVIE");
+            assert!(
+                movie.tuples().iter().any(|t| t.rw_type == "PERSON"),
+                "the movie corpus exercises the composite"
+            );
+            vec![
+                Corpus::extract(&cd_doc, cd_mapping, "DISC"),
+                movie,
+                Corpus { parts: Vec::new() },
+            ]
+        })
+    }
+
+    /// One record tuple built against a corpus's stored tuples: `kind`
+    /// picks seen or unseen terms, types, paths and values, repeats
+    /// within the record, and values that exist in the store.
+    fn record_tuple(
+        pool: &[&RawTuple],
+        earlier: &[RawTuple],
+        (kind, a, b): (usize, usize, usize),
+    ) -> RawTuple {
+        let fresh = RawTuple {
+            value: format!("Fresh Value {b}"),
+            path: "/fresh/value".into(),
+            rw_type: "FRESH".into(),
+            norm: format!("fresh value {b}"),
+        };
+        let stored = if pool.is_empty() {
+            fresh.clone()
+        } else {
+            pool[a % pool.len()].clone()
+        };
+        let other = if pool.is_empty() {
+            fresh.clone()
+        } else {
+            pool[b % pool.len()].clone()
+        };
+        match kind {
+            // Everything seen.
+            0 => stored,
+            // Seen type and path, unseen term and value.
+            1 => RawTuple {
+                norm: format!("{} v{}", stored.norm, b % 3),
+                value: format!("{} V{}", stored.value, b % 3),
+                ..stored
+            },
+            // A seen norm under an unseen type.
+            2 => RawTuple {
+                rw_type: format!("FRESH{}", b % 2),
+                ..stored
+            },
+            // An unseen path.
+            3 => RawTuple {
+                path: format!("/fresh/p{}", b % 2),
+                ..stored
+            },
+            // A raw value that already exists in the store, on another
+            // tuple's term.
+            4 => RawTuple {
+                value: other.value,
+                ..stored
+            },
+            // A value whose bytes are in the arena only as a type name,
+            // path or norm — never as a value.
+            5 => RawTuple {
+                value: [other.rw_type, other.path, other.norm][b % 3].clone(),
+                ..stored
+            },
+            // A norm repeated within the record (with a new raw value).
+            6 => match earlier.last() {
+                Some(prev) => RawTuple {
+                    value: format!("{} again", prev.value),
+                    ..prev.clone()
+                },
+                None => stored,
+            },
+            // An exact repeat of an earlier record tuple.
+            7 => earlier
+                .get(a % earlier.len().max(1))
+                .cloned()
+                .unwrap_or(stored),
+            // The previous tuple's norm under another unseen type.
+            8 => match earlier.last() {
+                Some(prev) => RawTuple {
+                    rw_type: format!("{} B", prev.rw_type),
+                    ..prev.clone()
+                },
+                None => fresh,
+            },
+            _ => fresh,
+        }
+    }
+
+    /// A node id to lend records appended to an empty corpus.
+    fn lone_node() -> NodeId {
+        Document::parse("<r/>").unwrap().root_element().unwrap()
+    }
+
+    fn cases(default: u32) -> u32 {
+        std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(default)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(cases(32)))]
+
+        /// Appending a record to a frozen store equals re-interning the
+        /// corpus with the record appended last, column for column — on
+        /// CD, on movie with the PERSON composite and on the empty
+        /// corpus, for records mixing seen and unseen terms, types,
+        /// paths and values (and the empty record), with one scratch set
+        /// refilled across corpora of different shapes.
+        #[test]
+        fn appending_to_a_frozen_store_equals_reinterning(
+            specs in proptest::collection::vec((0usize..10, 0usize..10_000, 0usize..10_000), 0..9),
+            order in 0usize..3,
+        ) {
+            let mut ext = OdSet::default();
+            let mut scratch = AppendScratch::default();
+            for step in 0..4 {
+                let corpus = &corpora()[(order + step) % 3];
+                let pool = corpus.tuples();
+                let mut record: Vec<RawTuple> = Vec::new();
+                for &spec in specs.iter().skip(step % 2) {
+                    let tuple = record_tuple(&pool, &record, spec);
+                    record.push(tuple);
+                }
+                let base = corpus.interned();
+                let node = corpus.parts.first().map_or_else(lone_node, |(n, _)| *n);
+                ext.refill_appended(&base, &base.freeze(), node, &record, &mut scratch);
+                let oracle = OdSet::build_from_raw(
+                    corpus
+                        .parts
+                        .iter()
+                        .map(|(n, raw)| (*n, raw.as_slice()))
+                        .chain(std::iter::once((node, record.as_slice()))),
+                );
+                proptest::prop_assert_eq!(&ext, &oracle, "record {:?}", record);
+            }
+        }
     }
 }

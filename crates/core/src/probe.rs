@@ -4,24 +4,31 @@
 //! three.
 //!
 //! A [`ProbeSnapshot`] pins everything a point-query needs: the
-//! candidate nodes, their cached raw OD tuples, the interned
-//! [`OdSet`], the similarity/classifier stage `Arc`s, and a one-sided
-//! blocking index ([`crate::filter::QGramTermIndex`] /
-//! [`crate::filter::LshBucketIndex`]). Snapshots are immutable — a
+//! candidate nodes, the interned [`OdSet`] with its interner frozen,
+//! the similarity/classifier stage `Arc`s, and a one-sided blocking
+//! index ([`crate::filter::QGramTermIndex`] /
+//! [`crate::filter::LshBucketIndex`]). It holds no document: probes
+//! score through store-based measures only. Snapshots are immutable — a
 //! server swaps an `Arc<ProbeSnapshot>` at delta-batch boundaries while
 //! probe threads keep reading the one they pinned.
 //!
 //! ### Why probe answers equal batch verdicts
 //!
-//! [`ProbeSnapshot::probe`] re-interns the snapshot's cached raw tuples
-//! with the probe record appended **last**. First-occurrence interning
-//! means every stored term/type/path id is unchanged by the append
-//! (pinned by the `build_from_raw` differential tests), so similarities
-//! — including the global softIDF weights over `|Ω| + 1` objects — are
-//! bit-identical to a from-scratch batch run over corpus + record. The
+//! A snapshot freezes its store's interner once: the lookups from type
+//! name, `(type, norm)`, path and raw value to their ids and spans. A
+//! probe copies the store into its scratch and appends the record
+//! **last** through those frozen lookups, exactly as interning
+//! corpus + record from scratch would: a seen term gains the record's
+//! posting, anything unseen takes the next id, and the IDF column is
+//! re-weighted for `|Ω| + 1` objects. The extended set is `==` to
+//! `OdSet::build_from_raw` over corpus + record (the `od.rs`
+//! differential pins this), so similarities — including the global
+//! softIDF weights — are bit-identical to a from-scratch batch run over
+//! corpus + record, at a copy's cost instead of a re-intern's. The
 //! candidate set comes from the same posting lookups the batch blocking
-//! plans use ([`crate::filter`] builds both from one code path), so
-//! membership matches the batch plan's pairs involving the record.
+//! plans use ([`crate::filter`] builds both from one code path), keyed by
+//! the record's type ids in the extended set, so membership matches the
+//! batch plan's pairs involving the record.
 //!
 //! ```
 //! use dogmatix_core::pipeline::Dogmatix;
@@ -50,9 +57,10 @@ use crate::filter::{
     LookupScratch, LshBucketIndex, MinHashLshBlocking, QGramBlocking, QGramTermIndex,
 };
 use crate::mapping::Mapping;
-use crate::od::{extract_raw_tuples, OdSet, RawTuple};
+use crate::od::{extract_raw_tuples, AppendScratch, OdSet, RawTuple};
 use crate::pipeline::{selections_for_paths, Dogmatix};
 use crate::stage::{PairClassifier, SimContext, SimilarityMeasure};
+use crate::store::FrozenInterner;
 use dogmatix_textsim::{mix64, word_token_hashes_into};
 use dogmatix_xml::{Document, NodeId};
 use std::collections::{BTreeSet, HashMap};
@@ -128,16 +136,21 @@ pub struct ProbeAnswer {
 
 /// Reusable per-connection scratch so steady-state probes perform no
 /// per-request `String` allocation in the lookup path (the no-hot-alloc
-/// gate covers this module).
+/// gate covers this module), and refill the extended store into
+/// buffers already grown to its size.
 #[derive(Debug, Default)]
 pub struct ProbeScratch {
     lookup: LookupScratch,
     candidates: BTreeSet<usize>,
-    type_ids: Vec<u32>,
     tokens: BTreeSet<u64>,
     token_list: Vec<u64>,
     word_hashes: Vec<u64>,
-    ext_nodes: Vec<NodeId>,
+    /// The snapshot's store with the probe record appended.
+    ext: OdSet,
+    append: AppendScratch,
+    /// Stands in for the document in the measure context: store-based
+    /// measures never read it.
+    empty_doc: Document,
     pairs: Vec<(usize, usize)>,
     scored: Vec<ProbeMatch>,
 }
@@ -155,10 +168,7 @@ impl ProbeScratch {
 /// equality guarantees.
 #[derive(Debug)]
 pub struct ProbeSnapshot {
-    /// The served document at snapshot time (batch-parity runs in the
-    /// stress suite re-detect over exactly this document).
-    doc: Arc<Document>,
-    /// Candidate nodes, aligned with `parts` and `ods` object indices.
+    /// Candidate nodes, aligned with `ods` object indices.
     nodes: Vec<NodeId>,
     /// Candidate schema paths (for mapping probe XML fragments onto a
     /// candidate path in [`ProbeSnapshot::record_from_xml`]).
@@ -167,35 +177,35 @@ pub struct ProbeSnapshot {
     selections: HashMap<String, BTreeSet<String>>,
     /// The mapping the snapshot's extractions ran under.
     mapping: Mapping,
-    /// Cached raw OD tuples per candidate — the probe re-interns these
-    /// with the record appended.
-    parts: Vec<Arc<Vec<RawTuple>>>,
     /// The interned snapshot store the lookup indexes were built over.
     ods: Arc<OdSet>,
+    /// `ods`' interner, frozen: probes append their record through it.
+    frozen: FrozenInterner,
     /// Pinned scoring stages (shared with the session that published
     /// the snapshot — `Arc` pointer equality, not copies).
     measure: Arc<dyn SimilarityMeasure>,
     classifier: Arc<dyn PairClassifier>,
     /// One-sided candidate lookup.
     index: ProbeIndex,
-    /// Node id lent to the appended record during extended interning
+    /// Node id lent to the appended record in the extended store
     /// (`None` only when the document holds no element at all).
     probe_node: Option<NodeId>,
 }
 
 impl ProbeSnapshot {
-    /// Assembles a snapshot from already-extracted parts. `ods` must be
-    /// the interning of `parts` in order (both construction paths —
-    /// batch and incremental — guarantee this; the audit gate checks
-    /// structural invariants on every build).
+    /// Assembles a snapshot over an interned store. `ods` must be the
+    /// interning of the candidates' extractions in order (both
+    /// construction paths — batch and incremental — guarantee this; the
+    /// audit gate checks structural invariants on every build).
+    /// `probe_node` is the node lent to appended records: the document's
+    /// root element, else the first candidate.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
-        doc: Arc<Document>,
+        probe_node: Option<NodeId>,
         nodes: Vec<NodeId>,
         schema_paths: Vec<String>,
         selections: HashMap<String, BTreeSet<String>>,
         mapping: Mapping,
-        parts: Vec<Arc<Vec<RawTuple>>>,
         ods: Arc<OdSet>,
         measure: Arc<dyn SimilarityMeasure>,
         classifier: Arc<dyn PairClassifier>,
@@ -206,14 +216,12 @@ impl ProbeSnapshot {
             ProbeBlocking::Lsh(b) => ProbeIndex::Lsh(LshBucketIndex::new(b, &ods)),
             ProbeBlocking::Exhaustive => ProbeIndex::Exhaustive,
         };
-        let probe_node = doc.root_element().or_else(|| nodes.first().copied());
         ProbeSnapshot {
-            doc,
             nodes,
             schema_paths,
             selections,
             mapping,
-            parts,
+            frozen: ods.freeze(),
             ods,
             measure,
             classifier,
@@ -250,41 +258,36 @@ impl ProbeSnapshot {
             &candidates.schema_paths,
             dx.selector_stage().as_ref(),
         )?;
-        let mut parts: Vec<Arc<Vec<RawTuple>>> = Vec::with_capacity(candidates.nodes.len());
-        for &node in &candidates.nodes {
-            let path = doc.name_path(node);
-            parts.push(Arc::new(extract_raw_tuples(
-                doc,
-                node,
-                selections.get(&path),
-                dx.mapping(),
-            )));
-        }
+        let parts: Vec<Vec<RawTuple>> = candidates
+            .nodes
+            .iter()
+            .map(|&node| {
+                let path = doc.name_path(node);
+                extract_raw_tuples(doc, node, selections.get(&path), dx.mapping())
+            })
+            .collect();
         let ods = Arc::new(OdSet::build_from_raw(
             candidates
                 .nodes
                 .iter()
                 .copied()
-                .zip(parts.iter().map(|p| p.as_slice())),
+                .zip(parts.iter().map(Vec::as_slice)),
         ));
         crate::store::audit::audit_gate(&ods, "probe snapshot OD interning");
+        let probe_node = doc
+            .root_element()
+            .or_else(|| candidates.nodes.first().copied());
         Ok(ProbeSnapshot::from_parts(
-            Arc::new(doc.clone()),
+            probe_node,
             candidates.nodes,
             candidates.schema_paths,
             selections,
             dx.mapping().clone(),
-            parts,
             ods,
             Arc::clone(dx.measure_stage()),
             Arc::clone(dx.classifier_stage()),
             blocking,
         ))
-    }
-
-    /// The served document at snapshot time.
-    pub fn doc(&self) -> &Document {
-        &self.doc
     }
 
     /// Objects held by the snapshot.
@@ -377,45 +380,14 @@ impl ProbeSnapshot {
         ))
     }
 
-    /// Resolves the record's real-world type names to the type ids
-    /// append-last interning would assign: stored names keep their ids,
-    /// unseen names get fresh ids (`type_count()`, `type_count()+1`, …)
-    /// in first-occurrence order.
-    fn resolve_type_ids(&self, record: &[RawTuple], out: &mut Vec<u32>) {
-        let store = self.ods.store();
-        let known = store.type_count() as u32;
-        out.clear();
-        let mut fresh = 0u32;
-        for (pos, tuple) in record.iter().enumerate() {
-            let id = match (0..known).find(|&ty| store.type_name(ty) == tuple.rw_type) {
-                Some(ty) => ty,
-                None => {
-                    let earlier = record[..pos]
-                        .iter()
-                        .zip(out.iter())
-                        .find(|(prev, id)| **id >= known && prev.rw_type == tuple.rw_type)
-                        .map(|(_, &id)| id);
-                    match earlier {
-                        Some(id) => id,
-                        None => {
-                            let id = known + fresh;
-                            fresh += 1;
-                            id
-                        }
-                    }
-                }
-            };
-            out.push(id);
-        }
-    }
-
     /// Answers a point-query: the top-`k` duplicates of `record` among
     /// the snapshot's objects, with batch-identical similarities.
     ///
-    /// Candidate generation runs through the snapshot's one-sided
-    /// blocking index (sublinear for the q-gram/LSH indexes); scoring
-    /// re-interns the snapshot's cached parts with the record appended
-    /// last and runs the pinned `SimilarityMeasure`/`PairClassifier`
+    /// The record is appended last to a scratch copy of the snapshot's
+    /// store through the frozen interner; candidate generation runs
+    /// through the snapshot's one-sided blocking index (sublinear for
+    /// the q-gram/LSH indexes) under the record's extended type ids;
+    /// scoring runs the pinned `SimilarityMeasure`/`PairClassifier`
     /// stages over the extended store. Doc-walking measures are
     /// rejected with a graceful `Config` error.
     pub fn probe(
@@ -446,16 +418,28 @@ impl ProbeSnapshot {
             });
         };
 
-        // 1. Candidate generation through the one-sided posting lookups.
+        // 1. Append the record *last* to a copy of the frozen store, so
+        // every stored term/type/path id — and every softIDF weight over
+        // |Ω| + 1 — matches a batch run over corpus + record.
+        scratch.ext.refill_appended(
+            &self.ods,
+            &self.frozen,
+            probe_node,
+            record,
+            &mut scratch.append,
+        );
+        let record_types = scratch.ext.od(n).tuples().map(|t| t.type_id());
+
+        // 2. Candidate generation through the one-sided posting lookups,
+        // keyed by the record's type ids in the extended store.
         scratch.candidates.clear();
         match &self.index {
             ProbeIndex::Exhaustive => {
                 scratch.candidates.extend(0..n);
             }
             ProbeIndex::QGram(ix) => {
-                self.resolve_type_ids(record, &mut scratch.type_ids);
                 let known = self.ods.store().type_count() as u32;
-                for (tuple, &ty) in record.iter().zip(scratch.type_ids.iter()) {
+                for (tuple, ty) in record.iter().zip(record_types) {
                     if ty < known {
                         ix.lookup_into(
                             ty,
@@ -467,9 +451,8 @@ impl ProbeSnapshot {
                 }
             }
             ProbeIndex::Lsh(ix) => {
-                self.resolve_type_ids(record, &mut scratch.type_ids);
                 scratch.tokens.clear();
-                for (tuple, &ty) in record.iter().zip(scratch.type_ids.iter()) {
+                for (tuple, ty) in record.iter().zip(record_types) {
                     let salt = mix64(u64::from(ty) ^ ix.blocking().seed);
                     word_token_hashes_into(&tuple.norm, &mut scratch.word_hashes);
                     for &h in &scratch.word_hashes {
@@ -487,27 +470,14 @@ impl ProbeSnapshot {
         }
         let examined = scratch.candidates.len();
 
-        // 2. Extended interning: append the record *last* so every
-        // stored term/type/path id — and therefore every softIDF weight
-        // over |Ω| + 1 — matches a batch run over corpus + record.
-        let ext = OdSet::build_from_raw(
-            self.nodes
-                .iter()
-                .copied()
-                .zip(self.parts.iter().map(|p| p.as_slice()))
-                .chain(std::iter::once((probe_node, record))),
-        );
-
         // 3. Score (candidate, record) pairs through the pinned stages on
         // this thread. The executor audits the extended set and keeps one
         // cache per probe: the record's fresh term ids alias across probes.
-        scratch.ext_nodes.clear();
-        scratch.ext_nodes.extend(self.nodes.iter().copied());
-        scratch.ext_nodes.push(probe_node);
+        let ext = &scratch.ext;
         let prepared = self.measure.prepare(SimContext {
-            doc: &self.doc,
-            candidates: &scratch.ext_nodes,
-            ods: &ext,
+            doc: &scratch.empty_doc,
+            candidates: ext.nodes(),
+            ods: ext,
         });
         scratch.pairs.clear();
         scratch
@@ -515,7 +485,7 @@ impl ProbeSnapshot {
             .extend(scratch.candidates.iter().map(|&j| (j, n)));
         scratch.scored.clear();
         execute(
-            &ext,
+            ext,
             Pairs::Plan(&scratch.pairs),
             1,
             prepared.as_ref(),
@@ -573,55 +543,94 @@ mod tests {
         (doc, schema, dx)
     }
 
-    /// For every blocking mode, a probe's verdicts equal a batch run
-    /// over corpus + record: membership, classification, and bitwise
+    /// For the exhaustive, q-gram and LSH indexes, on the toy corpus and
+    /// on the movie corpus (both sources, PERSON composite), a probe's
+    /// verdicts equal a batch run over corpus + record whose filter is
+    /// the index's batch plan: membership, classification, and bitwise
     /// similarity.
     #[test]
     fn probe_equals_batch_over_appended_record() {
-        let (doc, schema, dx) = corpus();
-        let record_xml = "<m><t>Midnigth Journey</t><y>1999</y></m>";
-        // Batch ground truth: the corpus with the record appended.
-        let ext_doc = Document::parse(
-            "<db>\
-               <m><t>Midnight Journey</t><y>1999</y></m>\
-               <m><t>Something Else</t><y>2002</y></m>\
-               <m><t>Fourth Record</t><y>1971</y></m>\
-               <m><t>Midnigth Journey</t><y>1999</y></m>\
-             </db>",
-        )
-        .unwrap();
-        let ext_schema = Schema::infer(&ext_doc).unwrap();
-        let batch_dx = Dogmatix::builder()
-            .add_type("M", ["/db/m"])
-            .filter(NoFilter)
-            .build();
-        let batch = batch_dx.run(&ext_doc, &ext_schema, "M").unwrap();
-        let n = 3usize;
-        let expected: Vec<(usize, f64)> = batch
-            .duplicate_pairs
+        let (toy_doc, _, _) = corpus();
+        let (movie_doc, _) = dogmatix_datagen::datasets::dataset2_sized(3, 8);
+        // A fragment rooted <movie> resolves to the first candidate path
+        // (imdb), so records shaped like imdb movies extract as batch
+        // insertion under /integrated/imdb would.
+        let movie_records: Vec<String> = movie_doc.select("/integrated/imdb/movie").unwrap()[..4]
             .iter()
-            .filter(|&&(_, j, _)| j == n)
-            .map(|&(i, _, s)| (i, s))
+            .map(|&n| movie_doc.node_xml(n))
             .collect();
-        assert!(
-            !expected.is_empty(),
-            "the typo record must have a duplicate"
-        );
+        let mut toy_mapping = Mapping::new();
+        toy_mapping.add_type("M", ["/db/m"]);
+        let cases = [
+            (
+                &toy_doc,
+                toy_mapping,
+                crate::heuristics::HeuristicExpr::k_closest_descendants(6),
+                "M",
+                "/db",
+                vec!["<m><t>Midnigth Journey</t><y>1999</y></m>".to_string()],
+            ),
+            (
+                &movie_doc,
+                crate::od::tests::movie_mapping(),
+                crate::heuristics::HeuristicExpr::r_distant_descendants(3),
+                "MOVIE",
+                "/integrated/imdb",
+                movie_records,
+            ),
+        ];
+        for (doc, mapping, heuristic, rw_type, parent, records) in cases {
+            let mut found = 0;
+            let schema = Schema::infer(doc).unwrap();
+            let dx = |filter: Option<ProbeBlocking>| {
+                let builder = Dogmatix::builder()
+                    .mapping(mapping.clone())
+                    .heuristic(heuristic.clone());
+                match filter {
+                    None => builder.build(),
+                    Some(ProbeBlocking::QGram(b)) => builder.filter(b).build(),
+                    Some(ProbeBlocking::Lsh(b)) => builder.filter(b).build(),
+                    Some(ProbeBlocking::Exhaustive) => builder.filter(NoFilter).build(),
+                }
+            };
+            for blocking in [
+                ProbeBlocking::Exhaustive,
+                ProbeBlocking::QGram(QGramBlocking::new(2, 0.15)),
+                ProbeBlocking::Lsh(MinHashLshBlocking::new(48, 2)),
+            ] {
+                let snapshot =
+                    ProbeSnapshot::from_batch(&dx(None), doc, &schema, rw_type, blocking).unwrap();
+                let mut scratch = ProbeScratch::new();
+                for record_xml in &records {
+                    // Batch ground truth: the corpus with the record
+                    // appended last, under the index's batch plan.
+                    let mut ext_doc = doc.clone();
+                    let at = ext_doc.select(parent).unwrap()[0];
+                    ext_doc.append_xml(at, record_xml).unwrap();
+                    let ext_schema = Schema::infer(&ext_doc).unwrap();
+                    let batch = dx(Some(blocking))
+                        .run(&ext_doc, &ext_schema, rw_type)
+                        .unwrap();
+                    let n = snapshot.len();
+                    assert_eq!(batch.candidates.len(), n + 1);
+                    let mut want: Vec<(usize, f64)> = batch
+                        .duplicate_pairs
+                        .iter()
+                        .filter(|&&(_, j, _)| j == n)
+                        .map(|&(i, _, s)| (i, s))
+                        .collect();
+                    want.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
 
-        for blocking in [
-            ProbeBlocking::Exhaustive,
-            ProbeBlocking::QGram(QGramBlocking::new(2, 0.15)),
-            ProbeBlocking::Lsh(MinHashLshBlocking::new(48, 2)),
-        ] {
-            let snapshot = ProbeSnapshot::from_batch(&dx, &doc, &schema, "M", blocking).unwrap();
-            let record = snapshot.record_from_xml(record_xml).unwrap();
-            let mut scratch = ProbeScratch::new();
-            let answer = snapshot.probe(&record, usize::MAX, &mut scratch).unwrap();
-            let got: Vec<(usize, f64)> = answer.matches.iter().map(|m| (m.index, m.sim)).collect();
-            let mut want = expected.clone();
-            want.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-            assert_eq!(got, want, "blocking {blocking:?} diverged from batch");
-            assert_eq!(answer.stats.total_objects, n);
+                    let record = snapshot.record_from_xml(record_xml).unwrap();
+                    let answer = snapshot.probe(&record, usize::MAX, &mut scratch).unwrap();
+                    let got: Vec<(usize, f64)> =
+                        answer.matches.iter().map(|m| (m.index, m.sim)).collect();
+                    assert_eq!(got, want, "{rw_type} {blocking:?} diverged from batch");
+                    assert_eq!(answer.stats.total_objects, n);
+                    found += got.len();
+                }
+            }
+            assert!(found > 0, "no {rw_type} probe found a duplicate");
         }
     }
 
@@ -698,15 +707,14 @@ mod tests {
 
     #[test]
     fn empty_snapshot_answers_empty() {
-        let doc = Arc::new(Document::parse("<db><other/></db>").unwrap());
+        let doc = Document::parse("<db><other/></db>").unwrap();
         let dx = Dogmatix::builder().add_type("M", ["/db/m"]).build();
         let snapshot = ProbeSnapshot::from_parts(
-            doc,
+            doc.root_element(),
             Vec::new(),
             vec!["/db/m".to_string()],
             HashMap::new(),
             Mapping::new(),
-            Vec::new(),
             Arc::new(OdSet::build_from_raw(std::iter::empty::<(
                 NodeId,
                 &[RawTuple],

@@ -45,7 +45,9 @@
 //! # Ok::<(), dogmatix_xml::XmlError>(())
 //! ```
 
+use crate::od::RawTuple;
 use dogmatix_textsim::idf;
+use std::collections::HashMap;
 
 pub mod audit;
 pub mod pool;
@@ -382,6 +384,46 @@ fn fnv(s: &str) -> u64 {
     h.finish()
 }
 
+/// The interner's lookups: FNV buckets of candidate ids, resolved by
+/// comparing arena bytes. A [`StoreBuilder`] grows them while it
+/// interns; [`FrozenInterner::new`] rebuilds them once over a finished
+/// store so records can be appended to it without re-interning.
+#[derive(Debug, Default)]
+struct StoreLookups {
+    /// `(type_id, fnv(norm))` → candidate term ids (collision chain).
+    terms: HashMap<(u32, u64), Vec<u32>>,
+    /// `fnv(name)` → candidate type ids.
+    types: HashMap<u64, Vec<u32>>,
+    /// `fnv(path)` → candidate path ids.
+    paths: HashMap<u64, Vec<u32>>,
+    /// `fnv(value)` → spans of already-interned raw values (dedup).
+    values: HashMap<u64, Vec<Span>>,
+}
+
+/// The ids of a bucket bucket (empty for a missing bucket).
+fn bucket<'a, K: std::hash::Hash + Eq, V: Copy>(
+    map: &'a HashMap<K, Vec<V>>,
+    key: &K,
+) -> impl Iterator<Item = V> + 'a {
+    map.get(key).into_iter().flatten().copied()
+}
+
+/// Resolves `s` among the `candidates` ids of `spans`, or appends it
+/// to the arena as the next id (`true` when appended) — the one
+/// resolver behind the builder and the frozen append.
+fn intern_into(
+    arena: &mut String,
+    spans: &mut Vec<Span>,
+    mut candidates: impl Iterator<Item = u32>,
+    s: &str,
+) -> (u32, bool) {
+    if let Some(id) = candidates.find(|&id| spans[id as usize].resolve(arena) == s) {
+        return (id, false);
+    }
+    spans.push(push_bytes(arena, s));
+    (spans.len() as u32 - 1, true)
+}
+
 /// Incremental builder behind [`crate::od::OdSet::build`]: interns
 /// strings into the arena with hash-bucketed lookups (no owned `String`
 /// keys), accumulates posting lists, and finishes into the CSR columns.
@@ -395,37 +437,28 @@ pub(crate) struct StoreBuilder {
     posting_lists: Vec<Vec<u32>>,
     type_names: Vec<Span>,
     path_names: Vec<Span>,
-    /// `(type_id, fnv(norm))` → candidate term ids (collision chain).
-    term_lookup: std::collections::HashMap<(u32, u64), Vec<u32>>,
-    /// `fnv(name)` → candidate type ids.
-    type_lookup: std::collections::HashMap<u64, Vec<u32>>,
-    /// `fnv(path)` → candidate path ids.
-    path_lookup: std::collections::HashMap<u64, Vec<u32>>,
-    /// `fnv(value)` → spans of already-interned raw values (dedup).
-    value_lookup: std::collections::HashMap<u64, Vec<Span>>,
+    lookups: StoreLookups,
+}
+
+/// Copies `s` onto the end of `arena`, returning its span (no dedup).
+fn push_bytes(arena: &mut String, s: &str) -> Span {
+    let start = arena.len() as u32;
+    arena.push_str(s);
+    Span::new(start, s.len() as u32)
 }
 
 impl StoreBuilder {
-    /// Copies `s` into the arena, returning its span (no dedup).
-    fn push_bytes(&mut self, s: &str) -> Span {
-        let start = self.arena.len() as u32;
-        self.arena.push_str(s);
-        Span::new(start, s.len() as u32)
-    }
-
     /// Interns a raw tuple value, deduplicating identical values into a
     /// single arena span.
     pub(crate) fn intern_value(&mut self, value: &str) -> Span {
         let h = fnv(value);
-        if let Some(spans) = self.value_lookup.get(&h) {
-            for &span in spans {
-                if span.resolve(&self.arena) == value {
-                    return span;
-                }
-            }
+        if let Some(span) =
+            bucket(&self.lookups.values, &h).find(|s| s.resolve(&self.arena) == value)
+        {
+            return span;
         }
-        let span = self.push_bytes(value);
-        self.value_lookup.entry(h).or_default().push(span);
+        let span = push_bytes(&mut self.arena, value);
+        self.lookups.values.entry(h).or_default().push(span);
         span
     }
 
@@ -433,34 +466,22 @@ impl StoreBuilder {
     /// occurrence assigns the next id).
     pub(crate) fn intern_type(&mut self, name: &str) -> u32 {
         let h = fnv(name);
-        if let Some(ids) = self.type_lookup.get(&h) {
-            for &id in ids {
-                if self.type_names[id as usize].resolve(&self.arena) == name {
-                    return id;
-                }
-            }
+        let known = bucket(&self.lookups.types, &h);
+        let (id, new) = intern_into(&mut self.arena, &mut self.type_names, known, name);
+        if new {
+            self.lookups.types.entry(h).or_default().push(id);
         }
-        let span = self.push_bytes(name);
-        let id = self.type_names.len() as u32;
-        self.type_names.push(span);
-        self.type_lookup.entry(h).or_default().push(id);
         id
     }
 
     /// Interns a schema name path.
     pub(crate) fn intern_path(&mut self, path: &str) -> PathId {
         let h = fnv(path);
-        if let Some(ids) = self.path_lookup.get(&h) {
-            for &id in ids {
-                if self.path_names[id as usize].resolve(&self.arena) == path {
-                    return PathId(id);
-                }
-            }
+        let known = bucket(&self.lookups.paths, &h);
+        let (id, new) = intern_into(&mut self.arena, &mut self.path_names, known, path);
+        if new {
+            self.lookups.paths.entry(h).or_default().push(id);
         }
-        let span = self.push_bytes(path);
-        let id = self.path_names.len() as u32;
-        self.path_names.push(span);
-        self.path_lookup.entry(h).or_default().push(id);
         PathId(id)
     }
 
@@ -469,20 +490,14 @@ impl StoreBuilder {
     /// `HashMap<(u32, String), TermId>` interner.
     pub(crate) fn intern_term(&mut self, type_id: u32, norm: &str) -> u32 {
         let h = fnv(norm);
-        if let Some(ids) = self.term_lookup.get(&(type_id, h)) {
-            for &id in ids {
-                if self.term_norm[id as usize].resolve(&self.arena) == norm {
-                    return id;
-                }
-            }
+        let known = bucket(&self.lookups.terms, &(type_id, h));
+        let (id, new) = intern_into(&mut self.arena, &mut self.term_norm, known, norm);
+        if new {
+            self.term_type.push(type_id);
+            self.term_char_len.push(norm.chars().count() as u32);
+            self.posting_lists.push(Vec::new());
+            self.lookups.terms.entry((type_id, h)).or_default().push(id);
         }
-        let span = self.push_bytes(norm);
-        let id = self.term_norm.len() as u32;
-        self.term_norm.push(span);
-        self.term_type.push(type_id);
-        self.term_char_len.push(norm.chars().count() as u32);
-        self.posting_lists.push(Vec::new());
-        self.term_lookup.entry((type_id, h)).or_default().push(id);
         id
     }
 
@@ -535,6 +550,173 @@ impl StoreBuilder {
             type_stats,
             object_count: object_count as u32,
         }
+    }
+}
+
+/// A finished store's interner, frozen: its lookups rebuilt once over
+/// the store, plus its IDF column re-weighted for one more object. A
+/// probe snapshot freezes its store when it is built; every probe then
+/// appends its record to a copy of the store
+/// ([`crate::od::OdSet::refill_appended`]) instead of re-interning
+/// every stored object.
+#[derive(Debug, Default)]
+pub(crate) struct FrozenInterner {
+    lookups: StoreLookups,
+    /// `idf(|Ω| + 1, |postings|)` per stored term: an append's IDF
+    /// column before the record's own stored terms are re-weighted.
+    idf_next: Vec<f64>,
+}
+
+impl FrozenInterner {
+    /// Freezes `store`, whose objects' raw tuple values are `values`.
+    pub(crate) fn new(store: &TermStore, values: &[Span]) -> Self {
+        let arena = store.arena.as_str();
+        let mut lookups = StoreLookups::default();
+        for (id, span) in store.type_names.iter().enumerate() {
+            let h = fnv(span.resolve(arena));
+            lookups.types.entry(h).or_default().push(id as u32);
+        }
+        for (id, span) in store.path_names.iter().enumerate() {
+            let h = fnv(span.resolve(arena));
+            lookups.paths.entry(h).or_default().push(id as u32);
+        }
+        for (id, (span, &ty)) in store.term_norm.iter().zip(&store.term_type).enumerate() {
+            let h = fnv(span.resolve(arena));
+            lookups.terms.entry((ty, h)).or_default().push(id as u32);
+        }
+        for &span in values {
+            let spans = lookups.values.entry(fnv(span.resolve(arena))).or_default();
+            if !spans.contains(&span) {
+                spans.push(span);
+            }
+        }
+        let next = store.object_count() + 1;
+        let idf_next = (0..store.term_count())
+            .map(|t| idf(next, store.posting_len(t).max(1)))
+            .collect();
+        FrozenInterner { lookups, idf_next }
+    }
+}
+
+impl TermStore {
+    /// Starts an append to `base`: copies the columns an append extends,
+    /// reusing this store's allocations. [`TermStore::finish_append`]
+    /// lays the rest.
+    pub(crate) fn refill_from(&mut self, base: &TermStore) {
+        self.arena.clone_from(&base.arena);
+        self.term_norm.clone_from(&base.term_norm);
+        self.term_type.clone_from(&base.term_type);
+        self.term_char_len.clone_from(&base.term_char_len);
+        self.type_names.clone_from(&base.type_names);
+        self.path_names.clone_from(&base.path_names);
+    }
+
+    /// Interns one tuple of a record appended to `base` (frozen as
+    /// `frozen`) exactly as a [`StoreBuilder`] that had interned `base`'s
+    /// objects would: each string resolves through the frozen lookups,
+    /// then among what this append added; a miss takes the next id or
+    /// arena span. `record_values` are the value spans of the record's
+    /// earlier tuples. Returns the type id, term id, value span and path.
+    pub(crate) fn append_tuple(
+        &mut self,
+        base: &TermStore,
+        frozen: &FrozenInterner,
+        tuple: &RawTuple,
+        record_values: &[Span],
+    ) -> (u32, u32, Span, PathId) {
+        let lookups = &frozen.lookups;
+        let fresh_types = base.type_count() as u32..self.type_count() as u32;
+        let known = bucket(&lookups.types, &fnv(&tuple.rw_type)).chain(fresh_types);
+        let (type_id, _) =
+            intern_into(&mut self.arena, &mut self.type_names, known, &tuple.rw_type);
+
+        let term_type = &self.term_type;
+        let fresh_terms = (base.term_count() as u32..self.term_count() as u32)
+            .filter(|&t| term_type[t as usize] == type_id);
+        let known = bucket(&lookups.terms, &(type_id, fnv(&tuple.norm))).chain(fresh_terms);
+        let (term, new) = intern_into(&mut self.arena, &mut self.term_norm, known, &tuple.norm);
+        if new {
+            self.term_type.push(type_id);
+            self.term_char_len.push(tuple.norm.chars().count() as u32);
+        }
+
+        let value = bucket(&lookups.values, &fnv(&tuple.value))
+            .chain(record_values.iter().copied())
+            .find(|span| span.resolve(&self.arena) == tuple.value)
+            .unwrap_or_else(|| push_bytes(&mut self.arena, &tuple.value));
+
+        let fresh_paths = base.path_count() as u32..self.path_count() as u32;
+        let known = bucket(&lookups.paths, &fnv(&tuple.path)).chain(fresh_paths);
+        let (path, _) = intern_into(&mut self.arena, &mut self.path_names, known, &tuple.path);
+        (type_id, term, value, PathId(path))
+    }
+
+    /// Completes an append of object `|Ω|` to `base`: lays the posting
+    /// lists — the record's stored terms `touched` (sorted, distinct)
+    /// gain the new object, its fresh terms hold only it — and
+    /// re-weights the IDF column and the per-type statistics for
+    /// `|Ω| + 1` objects. `record_types` holds every record tuple's type.
+    pub(crate) fn finish_append(
+        &mut self,
+        base: &TermStore,
+        frozen: &FrozenInterner,
+        touched: &[u32],
+        record_types: &[u32],
+    ) {
+        debug_assert_eq!(
+            frozen.idf_next.len(),
+            base.term_count(),
+            "foreign frozen interner"
+        );
+        let n = base.object_count;
+        let next = base.object_count() + 1;
+        let stored = base.term_count();
+        let starts = &base.posting_starts;
+        // Copy the stored lists in runs, closing each touched term's list
+        // with `n`; every later offset shifts by the `n`s laid so far.
+        self.posting_starts.clear();
+        self.postings.clear();
+        let mut from = 0;
+        for (shift, &t) in touched.iter().enumerate() {
+            let t = t as usize;
+            self.posting_starts
+                .extend(starts[from..=t].iter().map(|&s| s + shift as u32));
+            self.postings
+                .extend_from_slice(&base.postings[starts[from] as usize..starts[t + 1] as usize]);
+            self.postings.push(n);
+            from = t + 1;
+        }
+        let shift = touched.len() as u32;
+        self.posting_starts
+            .extend(starts[from..].iter().map(|&s| s + shift));
+        self.postings
+            .extend_from_slice(&base.postings[starts[from] as usize..]);
+        for _ in stored..self.term_count() {
+            self.postings.push(n);
+            self.posting_starts.push(self.postings.len() as u32);
+        }
+
+        self.term_idf.clone_from(&frozen.idf_next);
+        for &t in touched {
+            self.term_idf[t as usize] = idf(next, base.posting_len(t as usize) + 1);
+        }
+        self.term_idf.resize(self.term_count(), idf(next, 1));
+
+        self.type_stats.clone_from(&base.type_stats);
+        self.type_stats
+            .resize(self.type_count(), TypeStats::default());
+        for &ty in record_types {
+            self.type_stats[ty as usize].tuples += 1;
+        }
+        for &t in touched {
+            self.type_stats[base.term_type[t as usize] as usize].postings += 1;
+        }
+        for t in stored..self.term_count() {
+            let stats = &mut self.type_stats[self.term_type[t] as usize];
+            stats.terms += 1;
+            stats.postings += 1;
+        }
+        self.object_count = next as u32;
     }
 }
 
