@@ -69,7 +69,8 @@ cargo bench -q -p dogmatix_bench --bench probe >/dev/null
 test -s BENCH_probe.json || { echo "BENCH_probe.json was not written"; exit 1; }
 
 echo "==> size ladder (CD, LSH 48x2, threads 1, n = 250/1000/4000): probe p50 at"
-echo "    n=4000 <= 6 ms x allowance, and p50 per examined candidate must not grow"
+echo "    n=4000 <= 6 ms x allowance, a probe that examines no candidate <= 5x a"
+echo "    copy of the store at n=4000, and p50 per examined candidate must not grow"
 echo "    past 2x from n=250 to n=4000"
 cargo bench -q -p dogmatix_bench --bench ladder >/dev/null
 test -s BENCH_ladder.json || { echo "BENCH_ladder.json was not written"; exit 1; }

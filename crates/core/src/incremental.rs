@@ -85,6 +85,7 @@ use crate::mapping::Mapping;
 use crate::od::{extract_raw_tuples, OdSet, RawTuple};
 use crate::pipeline::{selections_for_paths, DetectionResult, Dogmatix, RunStats};
 use crate::stage::{FilterDecision, PairClassifier, SimContext, SimilarityMeasure};
+use crate::store::FrozenInterner;
 use dogmatix_xml::{Document, NodeId, Schema};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
@@ -299,6 +300,9 @@ struct PrevRun {
     measure: Arc<dyn SimilarityMeasure>,
     classifier: Arc<dyn PairClassifier>,
     ods: Arc<OdSet>,
+    /// `ods`' interner, frozen, shared with every snapshot published
+    /// from this run.
+    frozen: Arc<FrozenInterner>,
     /// `(i, j) → (sim, class)` for every pair compared (or replayed) in
     /// the previous run, including non-duplicates.
     pair_classes: HashMap<(u32, u32), (f64, Class)>,
@@ -501,6 +505,7 @@ impl IncrementalSession {
             selections,
             self.mapping.clone(),
             Arc::clone(&prev.ods),
+            Arc::clone(&prev.frozen),
             Arc::clone(&prev.measure),
             Arc::clone(&prev.classifier),
             blocking,
@@ -840,13 +845,14 @@ pub(crate) fn detect_incremental(
         }
         parts.push(Arc::clone(&s.extraction[&node]));
     }
-    let ods = Arc::new(OdSet::build_from_raw(
+    let (ods, frozen) = OdSet::build_frozen(
         s.candidates
             .nodes
             .iter()
             .copied()
             .zip(parts.iter().map(|p| p.as_slice())),
-    ));
+    );
+    let ods = Arc::new(ods);
     // The delta-maintained extraction cache must re-intern to exactly
     // the structure a batch build would produce; audit it before the
     // filter and comparison stages index into it.
@@ -947,6 +953,7 @@ pub(crate) fn detect_incremental(
         measure: Arc::clone(dx.measure_stage()),
         classifier: Arc::clone(dx.classifier_stage()),
         ods,
+        frozen: Arc::new(frozen),
         pair_classes,
     });
     s.dirty.clear();

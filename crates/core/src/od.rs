@@ -27,7 +27,7 @@
 //! pointer chase.
 
 use crate::mapping::Mapping;
-use crate::store::{FrozenInterner, PathId, Span, StoreBuilder, TermStore};
+use crate::store::{FrozenInterner, PathId, Span, StoreBuilder, StoreLookups, TermStore};
 use dogmatix_xml::{Document, NodeId};
 use std::collections::{BTreeSet, HashMap};
 
@@ -281,7 +281,7 @@ impl OdSet {
             let raw = extract_raw_tuples(doc, cand, selections.get(&cand_path), mapping);
             interner.push(cand, &raw);
         }
-        interner.finish()
+        interner.finish().0
     }
 
     /// OD generation from pre-extracted raw tuples: interns real-world
@@ -311,11 +311,23 @@ impl OdSet {
     where
         I: IntoIterator<Item = (NodeId, &'a [RawTuple])>,
     {
+        OdSet::build_frozen(parts).0
+    }
+
+    /// [`OdSet::build_from_raw`] that keeps the interner's lookups,
+    /// frozen, for appending records to the set
+    /// ([`OdSet::refill_appended`]).
+    pub(crate) fn build_frozen<'a, I>(parts: I) -> (OdSet, FrozenInterner)
+    where
+        I: IntoIterator<Item = (NodeId, &'a [RawTuple])>,
+    {
         let mut interner = Interner::new();
         for (cand, raw) in parts {
             interner.push(cand, raw);
         }
-        interner.finish()
+        let (set, lookups) = interner.finish();
+        let frozen = FrozenInterner::new(&set.store, lookups);
+        (set, frozen)
     }
 
     // ---- raw column accessors for the hot paths -----------------------
@@ -690,10 +702,11 @@ impl Interner {
             .close_object(cand, &self.scratch_types, &mut self.scratch_groups);
     }
 
-    fn finish(mut self) -> OdSet {
+    fn finish(mut self) -> (OdSet, StoreLookups) {
         let object_count = self.set.len();
-        self.set.store = self.builder.finish(object_count, &self.tuple_types);
-        self.set
+        let (store, lookups) = self.builder.finish(object_count, &self.tuple_types);
+        self.set.store = store;
+        (self.set, lookups)
     }
 }
 
@@ -733,9 +746,8 @@ impl OdSet {
 
     /// Refills `self` with `base` plus `record` appended as object
     /// `base.len()` on `node` — `==` to
-    /// `OdSet::build_from_raw(parts ++ [(node, record)])` when `base` is
-    /// the interning of `parts` and `frozen` was frozen from `base`
-    /// ([`OdSet::freeze`]).
+    /// `OdSet::build_from_raw(parts ++ [(node, record)])` when
+    /// `(base, frozen)` is [`OdSet::build_frozen`] of `parts`.
     ///
     /// The stored columns are copied into `self`'s allocations; the
     /// record is then interned as [`Interner::push`] would: a seen term
@@ -782,11 +794,6 @@ impl OdSet {
         self.store
             .finish_append(&base.store, frozen, &scratch.touched, &scratch.types);
         self.close_object(node, &scratch.types, &mut scratch.groups);
-    }
-
-    /// Freezes this set's interner for [`OdSet::refill_appended`].
-    pub(crate) fn freeze(&self) -> FrozenInterner {
-        FrozenInterner::new(&self.store, &self.tuple_value)
     }
 }
 
@@ -1295,8 +1302,8 @@ pub(crate) mod tests {
             self.parts.iter().flat_map(|(_, raw)| raw).collect()
         }
 
-        fn interned(&self) -> OdSet {
-            OdSet::build_from_raw(self.parts.iter().map(|(n, raw)| (*n, raw.as_slice())))
+        fn interned(&self) -> (OdSet, FrozenInterner) {
+            OdSet::build_frozen(self.parts.iter().map(|(n, raw)| (*n, raw.as_slice())))
         }
     }
 
@@ -1455,9 +1462,9 @@ pub(crate) mod tests {
                     let tuple = record_tuple(&pool, &record, spec);
                     record.push(tuple);
                 }
-                let base = corpus.interned();
+                let (base, frozen) = corpus.interned();
                 let node = corpus.parts.first().map_or_else(lone_node, |(n, _)| *n);
-                ext.refill_appended(&base, &base.freeze(), node, &record, &mut scratch);
+                ext.refill_appended(&base, &frozen, node, &record, &mut scratch);
                 let oracle = OdSet::build_from_raw(
                     corpus
                         .parts

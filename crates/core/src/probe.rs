@@ -14,8 +14,9 @@
 //!
 //! ### Why probe answers equal batch verdicts
 //!
-//! A snapshot freezes its store's interner once: the lookups from type
-//! name, `(type, norm)`, path and raw value to their ids and spans. A
+//! A snapshot keeps its store's interner, frozen: the lookups from type
+//! name, `(type, norm)`, path and raw value to their ids and spans that
+//! the build of the store grew (`OdSet::build_frozen`). A
 //! probe copies the store into its scratch and appends the record
 //! **last** through those frozen lookups, exactly as interning
 //! corpus + record from scratch would: a seen term gains the record's
@@ -180,7 +181,7 @@ pub struct ProbeSnapshot {
     /// The interned snapshot store the lookup indexes were built over.
     ods: Arc<OdSet>,
     /// `ods`' interner, frozen: probes append their record through it.
-    frozen: FrozenInterner,
+    frozen: Arc<FrozenInterner>,
     /// Pinned scoring stages (shared with the session that published
     /// the snapshot — `Arc` pointer equality, not copies).
     measure: Arc<dyn SimilarityMeasure>,
@@ -196,7 +197,8 @@ impl ProbeSnapshot {
     /// Assembles a snapshot over an interned store. `ods` must be the
     /// interning of the candidates' extractions in order (both
     /// construction paths — batch and incremental — guarantee this; the
-    /// audit gate checks structural invariants on every build).
+    /// audit gate checks structural invariants on every build), and
+    /// `frozen` the interner that built it ([`OdSet::build_frozen`]).
     /// `probe_node` is the node lent to appended records: the document's
     /// root element, else the first candidate.
     #[allow(clippy::too_many_arguments)]
@@ -207,6 +209,7 @@ impl ProbeSnapshot {
         selections: HashMap<String, BTreeSet<String>>,
         mapping: Mapping,
         ods: Arc<OdSet>,
+        frozen: Arc<FrozenInterner>,
         measure: Arc<dyn SimilarityMeasure>,
         classifier: Arc<dyn PairClassifier>,
         blocking: ProbeBlocking,
@@ -221,7 +224,7 @@ impl ProbeSnapshot {
             schema_paths,
             selections,
             mapping,
-            frozen: ods.freeze(),
+            frozen,
             ods,
             measure,
             classifier,
@@ -266,13 +269,14 @@ impl ProbeSnapshot {
                 extract_raw_tuples(doc, node, selections.get(&path), dx.mapping())
             })
             .collect();
-        let ods = Arc::new(OdSet::build_from_raw(
+        let (ods, frozen) = OdSet::build_frozen(
             candidates
                 .nodes
                 .iter()
                 .copied()
                 .zip(parts.iter().map(Vec::as_slice)),
-        ));
+        );
+        let ods = Arc::new(ods);
         crate::store::audit::audit_gate(&ods, "probe snapshot OD interning");
         let probe_node = doc
             .root_element()
@@ -284,6 +288,7 @@ impl ProbeSnapshot {
             selections,
             dx.mapping().clone(),
             ods,
+            Arc::new(frozen),
             Arc::clone(dx.measure_stage()),
             Arc::clone(dx.classifier_stage()),
             blocking,
@@ -547,7 +552,9 @@ mod tests {
     /// on the movie corpus (both sources, PERSON composite), a probe's
     /// verdicts equal a batch run over corpus + record whose filter is
     /// the index's batch plan: membership, classification, and bitwise
-    /// similarity.
+    /// similarity. Every index finds a duplicate on each corpus, and on
+    /// the toy typo record every index answers exactly what an
+    /// unfiltered batch run finds.
     #[test]
     fn probe_equals_batch_over_appended_record() {
         let (toy_doc, _, _) = corpus();
@@ -561,6 +568,8 @@ mod tests {
             .collect();
         let mut toy_mapping = Mapping::new();
         toy_mapping.add_type("M", ["/db/m"]);
+        // (corpus, mapping, heuristic, type, insertion parent, records,
+        // whether every index must answer the unfiltered batch verdicts)
         let cases = [
             (
                 &toy_doc,
@@ -569,6 +578,7 @@ mod tests {
                 "M",
                 "/db",
                 vec!["<m><t>Midnigth Journey</t><y>1999</y></m>".to_string()],
+                true,
             ),
             (
                 &movie_doc,
@@ -577,10 +587,10 @@ mod tests {
                 "MOVIE",
                 "/integrated/imdb",
                 movie_records,
+                false,
             ),
         ];
-        for (doc, mapping, heuristic, rw_type, parent, records) in cases {
-            let mut found = 0;
+        for (doc, mapping, heuristic, rw_type, parent, records, complete) in cases {
             let schema = Schema::infer(doc).unwrap();
             let dx = |filter: Option<ProbeBlocking>| {
                 let builder = Dogmatix::builder()
@@ -593,6 +603,27 @@ mod tests {
                     Some(ProbeBlocking::Exhaustive) => builder.filter(NoFilter).build(),
                 }
             };
+            // Batch ground truth: the duplicates of the record appended
+            // last to the corpus, under `filter`'s batch plan, ordered as
+            // a probe ranks them.
+            let batch_answer = |filter: ProbeBlocking, record_xml: &str| {
+                let mut ext_doc = doc.clone();
+                let at = ext_doc.select(parent).unwrap()[0];
+                ext_doc.append_xml(at, record_xml).unwrap();
+                let ext_schema = Schema::infer(&ext_doc).unwrap();
+                let batch = dx(Some(filter))
+                    .run(&ext_doc, &ext_schema, rw_type)
+                    .unwrap();
+                let n = batch.candidates.len() - 1;
+                let mut want: Vec<(usize, f64)> = batch
+                    .duplicate_pairs
+                    .iter()
+                    .filter(|&&(_, j, _)| j == n)
+                    .map(|&(i, _, s)| (i, s))
+                    .collect();
+                want.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+                (n, want)
+            };
             for blocking in [
                 ProbeBlocking::Exhaustive,
                 ProbeBlocking::QGram(QGramBlocking::new(2, 0.15)),
@@ -601,25 +632,17 @@ mod tests {
                 let snapshot =
                     ProbeSnapshot::from_batch(&dx(None), doc, &schema, rw_type, blocking).unwrap();
                 let mut scratch = ProbeScratch::new();
+                let mut found = 0;
                 for record_xml in &records {
-                    // Batch ground truth: the corpus with the record
-                    // appended last, under the index's batch plan.
-                    let mut ext_doc = doc.clone();
-                    let at = ext_doc.select(parent).unwrap()[0];
-                    ext_doc.append_xml(at, record_xml).unwrap();
-                    let ext_schema = Schema::infer(&ext_doc).unwrap();
-                    let batch = dx(Some(blocking))
-                        .run(&ext_doc, &ext_schema, rw_type)
-                        .unwrap();
-                    let n = snapshot.len();
-                    assert_eq!(batch.candidates.len(), n + 1);
-                    let mut want: Vec<(usize, f64)> = batch
-                        .duplicate_pairs
-                        .iter()
-                        .filter(|&&(_, j, _)| j == n)
-                        .map(|&(i, _, s)| (i, s))
-                        .collect();
-                    want.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+                    let (n, want) = batch_answer(blocking, record_xml);
+                    assert_eq!(n, snapshot.len());
+                    if complete {
+                        let (_, unfiltered) = batch_answer(ProbeBlocking::Exhaustive, record_xml);
+                        assert_eq!(
+                            want, unfiltered,
+                            "{rw_type} {blocking:?} plan misses a pair"
+                        );
+                    }
 
                     let record = snapshot.record_from_xml(record_xml).unwrap();
                     let answer = snapshot.probe(&record, usize::MAX, &mut scratch).unwrap();
@@ -629,8 +652,11 @@ mod tests {
                     assert_eq!(answer.stats.total_objects, n);
                     found += got.len();
                 }
+                assert!(
+                    found > 0,
+                    "no {rw_type} {blocking:?} probe found a duplicate"
+                );
             }
-            assert!(found > 0, "no {rw_type} probe found a duplicate");
         }
     }
 
@@ -709,16 +735,15 @@ mod tests {
     fn empty_snapshot_answers_empty() {
         let doc = Document::parse("<db><other/></db>").unwrap();
         let dx = Dogmatix::builder().add_type("M", ["/db/m"]).build();
+        let (ods, frozen) = OdSet::build_frozen(std::iter::empty::<(NodeId, &[RawTuple])>());
         let snapshot = ProbeSnapshot::from_parts(
             doc.root_element(),
             Vec::new(),
             vec!["/db/m".to_string()],
             HashMap::new(),
             Mapping::new(),
-            Arc::new(OdSet::build_from_raw(std::iter::empty::<(
-                NodeId,
-                &[RawTuple],
-            )>())),
+            Arc::new(ods),
+            Arc::new(frozen),
             Arc::clone(dx.measure_stage()),
             Arc::clone(dx.classifier_stage()),
             ProbeBlocking::default(),

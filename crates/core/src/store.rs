@@ -386,10 +386,11 @@ fn fnv(s: &str) -> u64 {
 
 /// The interner's lookups: FNV buckets of candidate ids, resolved by
 /// comparing arena bytes. A [`StoreBuilder`] grows them while it
-/// interns; [`FrozenInterner::new`] rebuilds them once over a finished
-/// store so records can be appended to it without re-interning.
+/// interns and hands them out when it finishes; a [`FrozenInterner`]
+/// keeps them so records can be appended to the store without
+/// re-interning it.
 #[derive(Debug, Default)]
-struct StoreLookups {
+pub(crate) struct StoreLookups {
     /// `(type_id, fnv(norm))` → candidate term ids (collision chain).
     terms: HashMap<(u32, u64), Vec<u32>>,
     /// `fnv(name)` → candidate type ids.
@@ -513,8 +514,13 @@ impl StoreBuilder {
     /// Flattens the builder into the immutable columnar store, computing
     /// the CSR postings, the IDF column for `object_count` objects, and
     /// the per-type statistics (`tuple_type_ids` is the type id of every
-    /// tuple in the set, for the per-type tuple counts).
-    pub(crate) fn finish(self, object_count: usize, tuple_type_ids: &[u32]) -> TermStore {
+    /// tuple in the set, for the per-type tuple counts). Returns the
+    /// lookups too, for [`FrozenInterner::new`].
+    pub(crate) fn finish(
+        self,
+        object_count: usize,
+        tuple_type_ids: &[u32],
+    ) -> (TermStore, StoreLookups) {
         let mut posting_starts = Vec::with_capacity(self.posting_lists.len() + 1);
         let total: usize = self.posting_lists.iter().map(Vec::len).sum();
         let mut postings = Vec::with_capacity(total);
@@ -537,7 +543,7 @@ impl StoreBuilder {
         for &ty in tuple_type_ids {
             type_stats[ty as usize].tuples += 1;
         }
-        TermStore {
+        let store = TermStore {
             arena: self.arena,
             term_norm: self.term_norm,
             term_type: self.term_type,
@@ -549,14 +555,16 @@ impl StoreBuilder {
             path_names: self.path_names,
             type_stats,
             object_count: object_count as u32,
-        }
+        };
+        (store, self.lookups)
     }
 }
 
-/// A finished store's interner, frozen: its lookups rebuilt once over
-/// the store, plus its IDF column re-weighted for one more object. A
-/// probe snapshot freezes its store when it is built; every probe then
-/// appends its record to a copy of the store
+/// A finished store's interner, frozen: the lookups its builder grew,
+/// plus its IDF column re-weighted for one more object. The build that
+/// makes a probe snapshot's store keeps them
+/// ([`crate::od::OdSet::build_frozen`]); every probe then appends its
+/// record to a copy of the store
 /// ([`crate::od::OdSet::refill_appended`]) instead of re-interning
 /// every stored object.
 #[derive(Debug, Default)]
@@ -568,28 +576,8 @@ pub(crate) struct FrozenInterner {
 }
 
 impl FrozenInterner {
-    /// Freezes `store`, whose objects' raw tuple values are `values`.
-    pub(crate) fn new(store: &TermStore, values: &[Span]) -> Self {
-        let arena = store.arena.as_str();
-        let mut lookups = StoreLookups::default();
-        for (id, span) in store.type_names.iter().enumerate() {
-            let h = fnv(span.resolve(arena));
-            lookups.types.entry(h).or_default().push(id as u32);
-        }
-        for (id, span) in store.path_names.iter().enumerate() {
-            let h = fnv(span.resolve(arena));
-            lookups.paths.entry(h).or_default().push(id as u32);
-        }
-        for (id, (span, &ty)) in store.term_norm.iter().zip(&store.term_type).enumerate() {
-            let h = fnv(span.resolve(arena));
-            lookups.terms.entry((ty, h)).or_default().push(id as u32);
-        }
-        for &span in values {
-            let spans = lookups.values.entry(fnv(span.resolve(arena))).or_default();
-            if !spans.contains(&span) {
-                spans.push(span);
-            }
-        }
+    /// Freezes `store` with the `lookups` its builder grew.
+    pub(crate) fn new(store: &TermStore, lookups: StoreLookups) -> Self {
         let next = store.object_count() + 1;
         let idf_next = (0..store.term_count())
             .map(|t| idf(next, store.posting_len(t).max(1)))
@@ -750,7 +738,7 @@ mod tests {
         b.add_posting(t0, 0); // consecutive repeat collapses
         b.add_posting(t0, 2);
         b.add_posting(t1, 1);
-        let store = b.finish(3, &[ty, ty, 1]);
+        let (store, _) = b.finish(3, &[ty, ty, 1]);
         assert_eq!(store.term_count(), 3);
         assert_eq!(store.postings(0), &[0, 2]);
         assert_eq!(store.postings(1), &[1]);
